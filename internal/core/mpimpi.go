@@ -56,24 +56,6 @@ func (h *harness) runMPIMPI() error {
 	finished := 0
 	fin := func() { finished++ }
 
-	// Under lane mode (DESIGN.md §11) the setup collectives run on the
-	// main engine as always, but worker bodies of lane nodes are deferred:
-	// every barrier release fires at the same (time, born) main-engine
-	// position, so the last one — before any later-timed event can fire on
-	// any engine — schedules the deferred bodies onto their node lanes at
-	// that instant, in release order. Per-node relative order is exactly the
-	// literal release order, which is all the lane's private event stream
-	// can observe.
-	ff := h.ffLanes()
-	type laneStart struct {
-		node int
-		run  func()
-	}
-	var (
-		released int
-		deferred []laneStart
-	)
-
 	start := func(r *mpi.Rank) {
 		world.Comm().WinAllocateCont(r, "global-queue", 2, func(gw *mpi.Win) {
 			nodeComm := world.SplitTypeShared(r)
@@ -81,33 +63,13 @@ func (h *harness) runMPIMPI() error {
 				localWins[r.Node()] = lw
 				w := nodeComm.RankOf(r)
 				world.Comm().BarrierCont(r, func() {
-					if !ff || r.Node() == 0 {
-						h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
-					} else {
-						deferred = append(deferred, laneStart{node: r.Node(), run: func() {
-							h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
-						}})
-					}
-					released++
-					if ff && released == world.Size() {
-						now := world.Engine().Now()
-						for _, d := range deferred {
-							world.EngineFor(d.node).ScheduleAsOf(now, now, d.run)
-						}
-						deferred = nil
-					}
+					h.mpimpiWorker(r, gw, lw, w, inter, n, fin)
 				})
 			})
 		})
 	}
 
-	var runErr error
-	if ff {
-		world.EnableLanes()
-		runErr = world.LaunchLanes(start)
-	} else {
-		runErr = world.Launch(start)
-	}
+	runErr := world.Launch(start)
 	lastRunPushes.Store(uint64(world.Engine().PushStamp()))
 	if runErr != nil {
 		return runErr
@@ -164,7 +126,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		schedKnd trace.Kind
 		lockCont func()
 		fopSched func(int64)
-		eng      = h.engFor(r)
+		eng      = h.eng
 	)
 	fop := gw.NewFetchAndOpCont(r)
 

@@ -355,8 +355,7 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// Resume the winner at its check time, in the position the
 			// literal check event (scheduled at the attempt's arrival)
 			// would have fired, so everything it schedules next gets the
-			// same relative order as in the literal protocol. Node-local
-			// continuations go to the node's engine (its lane when armed).
+			// same relative order as in the literal protocol.
 			//
 			// Analytic fast-forward: when the grant resolves at exactly the
 			// position of the wake event this replay runs in (incl callers
@@ -371,7 +370,7 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 				if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
 					w.inlineGrants = append(w.inlineGrants, best.cont)
 				} else {
-					w.engOf(node).ScheduleAsOf(best.at, best.born, best.cont)
+					w.eng.ScheduleAsOf(best.at, best.born, best.cont)
 				}
 			} else {
 				best.proc.UnparkAsOf(best.at, best.born)
@@ -482,7 +481,7 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 			wr.win = nil
 			wr.next = w.wakeFree
 			w.wakeFree = wr
-			advanced := w.advancePort(node, w.engOf(node).Now(), born, true)
+			advanced := w.advancePort(node, w.eng.Now(), born, true)
 			if cleared || advanced {
 				w.reconcilePort(node)
 				// Grants the replay resolved at this event's own position run
@@ -495,7 +494,7 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 				// (shared locks granted together) must leave their follow-up
 				// events queued so ordering against the remaining grants stays
 				// with the comparator.
-				eng := w.engOf(node)
+				eng := w.eng
 				for i := 0; i < len(w.inlineGrants); i++ {
 					g := w.inlineGrants[i]
 					w.inlineGrants[i] = nil
@@ -518,7 +517,7 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 		w.wakeFree = wr.next
 	}
 	wr.win, wr.target, wr.node, wr.at, wr.born = win, target, node, at, born
-	w.engOf(node).ScheduleAsOf(at, born, wr.fire)
+	w.eng.ScheduleAsOf(at, born, wr.fire)
 }
 
 // Lock types, mirroring MPI_LOCK_EXCLUSIVE / MPI_LOCK_SHARED.
@@ -831,7 +830,7 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	}
 	mem := &wld.cfg.Mem
 	pt := wld.memPort[tn]
-	eng := wld.engOf(tn)
+	eng := wld.eng
 	check := func() {
 		pt.checksInFlight--
 		ls := &w.locks[target]
@@ -910,7 +909,7 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 		panic(fmt.Sprintf("mpi: NewUnlockCont on %s[%d] from another node", w.name, target))
 	}
 	pt := wld.memPort[tn]
-	eng := wld.engOf(tn)
+	eng := wld.eng
 	var arrival, release sim.Time
 	releaseFn := func() {
 		if pt.pending() {
@@ -961,21 +960,12 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 // EventScheduledAt as the literal call site.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
 	wld := w.world
-	// Under fast-forward lanes the issuer spans two engines: the issue, the
-	// final latency hop and cont run on the requester's engine (its node's
-	// lane), while the target port's arrival and service run on the engine
-	// owning the target node — the main engine for the globally shared
-	// window on node 0 — so port service order stays the global virtual-time
-	// order. Cross-engine schedules always land in the receiving engine's
-	// future (see World.LaunchLanes). Without lanes both are wld.eng and the
-	// event stream is unchanged.
-	engR := wld.engOf(r.node)
+	eng := wld.eng
 	net := &wld.cfg.Net
 	var (
 		target, offset int
 		delta          int64
 		cont           func(int64)
-		engT           *sim.Engine
 	)
 	finish := func() {
 		old := w.data[target][offset]
@@ -983,35 +973,34 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 		cont(old)
 	}
 	servedRemote := func() {
-		now := engT.Now()
-		engR.AbsorbAsOf(now+net.Latency, now, finish)
+		now := eng.Now()
+		eng.AbsorbAsOf(now+net.Latency, now, finish)
 	}
 	arriveRemote := func() {
 		tn := w.targetNode(target)
 		pt := wld.memPort[tn]
 		if pt.pending() {
-			wld.advancePort(tn, engT.Now(), engT.EventScheduledAt(), false)
+			wld.advancePort(tn, eng.Now(), eng.EventScheduledAt(), false)
 		}
-		now := engT.Now()
+		now := eng.Now()
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp+net.PortService)
-		engT.AbsorbAsOf(now+(done-now), now, servedRemote)
+		eng.AbsorbAsOf(now+(done-now), now, servedRemote)
 	}
 	return func(t, off int, d int64, c func(int64)) {
 		target, offset, delta, cont = t, off, d, c
 		w.AtomicOps++
 		tn := w.targetNode(target)
-		now := engR.Now()
+		now := eng.Now()
 		if tn != r.node {
-			engT = wld.engOf(tn)
-			engT.AbsorbAsOf(now+net.Latency, now, arriveRemote)
+			eng.AbsorbAsOf(now+net.Latency, now, arriveRemote)
 			return
 		}
 		pt := wld.memPort[tn]
 		if pt.pending() {
-			wld.advancePort(tn, now, engR.EventScheduledAt(), false)
+			wld.advancePort(tn, now, eng.EventScheduledAt(), false)
 		}
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp)
-		engR.AbsorbAsOf(now+(done-now), now, finish)
+		eng.AbsorbAsOf(now+(done-now), now, finish)
 	}
 }
 
