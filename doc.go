@@ -26,7 +26,7 @@
 // responses byte-identical to a single daemon's — and cmd/psiagen runs
 // the real application kernels on the host.
 //
-// The substrates live under internal/: a deterministic process-oriented
+// The substrates live under internal/: a deterministic callback-driven
 // discrete-event engine (internal/sim), the machine model
 // (internal/cluster), an MPI-3 runtime model with shared-memory windows and
 // lock-polling passive-target RMA (internal/mpi), an OpenMP runtime model

@@ -9,6 +9,7 @@ import (
 
 	"repro/dls"
 	"repro/internal/cluster"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -76,9 +77,8 @@ func withNoiseCV(c cluster.Config, cv float64) cluster.Config {
 }
 
 // TestPooledSweepLeaksNoGoroutines is the goroutine-leak guard for the
-// arena pool: MPI+MPI cells are goroutine-free machines and MPI+OpenMP rank
-// processes exit with their cell, so a pooled sweep must leave the host
-// goroutine count where it found it.
+// arena pool: cells are goroutine-free machines, so a pooled sweep must
+// leave the host goroutine count where it found it.
 func TestPooledSweepLeaksNoGoroutines(t *testing.T) {
 	prof := workload.Uniform(1024, 15e-6, 40e-6, 7)
 	cfgs := []Config{
@@ -110,23 +110,43 @@ func TestPooledSweepLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestMPIMPISpawnsNoGoroutines pins the goroutine-free rank contract: an
-// MPI+MPI cell must run start to finish without spawning a single simulated
-// process (and therefore no goroutines at all).
+// TestMPIMPISpawnsNoGoroutines pins the goroutine-free cell contract for
+// every executor: probe events firing throughout the run must see the
+// goroutine count the cell started with — ranks and OpenMP threads are
+// continuation machines, never goroutines.
 func TestMPIMPISpawnsNoGoroutines(t *testing.T) {
-	cfg := Config{
-		Cluster: cluster.MiniHPC(2), WorkersPerNode: 16,
-		Inter: dls.GSS, Intra: dls.SS,
-		Workload: workload.Uniform(2048, 15e-6, 40e-6, 3),
-		Approach: MPIMPI, Seed: 1,
-	}
-	h, err := runHarness(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawned := h.eng.ProcsSpawned()
-	h.release()
-	if spawned != 0 {
-		t.Fatalf("MPI+MPI cell spawned %d simulated processes, want 0", spawned)
+	for _, ap := range []Approach{MPIMPI, MPIOpenMP, MPIOpenMPNoWait} {
+		cfg := Config{
+			Cluster: cluster.MiniHPC(2), WorkersPerNode: 16,
+			Inter: dls.GSS, Intra: dls.SS,
+			Workload: workload.Uniform(2048, 15e-6, 40e-6, 3),
+			Approach: ap, Seed: 1,
+		}
+		c := cfg.withDefaults()
+		h := newHarness(&c)
+		before, peak, probes := runtime.NumGoroutine(), 0, 0
+		for i := 1; i <= 20; i++ {
+			h.eng.Schedule(sim.Time(i)*50*sim.Microsecond, func() {
+				probes++
+				if g := runtime.NumGoroutine(); g > peak {
+					peak = g
+				}
+			})
+		}
+		var err error
+		switch ap {
+		case MPIMPI:
+			err = h.runMPIMPI()
+		case MPIOpenMP:
+			err = h.runMPIOpenMP()
+		default:
+			err = h.runMPIOpenMPNoWait()
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", ap, err)
+		}
+		if probes != 20 || peak > before {
+			t.Fatalf("%v cell: %d probes saw up to %d goroutines, started with %d", ap, probes, peak, before)
+		}
 	}
 }

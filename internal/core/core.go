@@ -348,7 +348,7 @@ const intraCacheCap = 1 << 14
 // harnessPool holds retired cell arenas: harness scratch plus the engine and
 // MPI world attached to it. Sweep workers draw from it so a thousand-cell
 // sweep reuses a handful of arenas instead of rebuilding the simulated
-// machine — and spawning its goroutines — per cell (DESIGN.md §8).
+// machine per cell (DESIGN.md §8).
 var harnessPool sync.Pool
 
 // Arena-pool telemetry: how many cells drew a recycled arena versus built a
@@ -424,8 +424,8 @@ func newHarness(c *Config) *harness {
 }
 
 // release returns a cleanly finished harness to the arena pool. Callers must
-// not release after an executor error: a failed run can leave live processes
-// or queued events behind, and such an arena is abandoned to the GC instead
+// not release after an executor error: a failed run can leave queued events
+// behind, and such an arena is abandoned to the GC instead
 // (Engine.Reset would refuse it anyway).
 func (h *harness) release() {
 	h.cfg = nil

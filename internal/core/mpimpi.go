@@ -36,10 +36,9 @@ const (
 // rank per core, a shared local work queue per node, distributed chunk
 // calculation against the global window.
 //
-// Ranks are goroutine-free machines (World.Launch): the setup collectives,
+// Ranks are continuation machines (World.Launch): the setup collectives,
 // the §3 worker loop and the rank's retirement all run as engine events at
-// the exact positions the process-driven rank occupied, so a cell spawns no
-// goroutines at all while producing byte-identical results (DESIGN.md §8).
+// the exact positions a blocking rank's wake-ups occupied (DESIGN.md §8).
 func (h *harness) runMPIMPI() error {
 	c := h.cfg
 	world, err := h.newWorld(&c.Cluster, c.WorkersPerNode)
@@ -158,7 +157,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		done()
 	}
 	// doneExit retires the rank after it published global exhaustion — the
-	// position where the literal rank resumed from UnlockAsOf and returned.
+	// position where the literal rank resumed from its unlock and returned.
 	doneExit := func(release sim.Time) {
 		h.traceSched(worker, node, trace.KindSchedGlobal, schedT0, release)
 		done()
@@ -210,7 +209,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 	}
 	// fopStep receives the scheduling step from the first global atomic,
 	// computes the chunk size locally (distributed chunk calculation) and
-	// sleeps the calculation cost — as an event, not a parked goroutine.
+	// waits out the calculation cost in an event.
 	fopStep := func(step int64) {
 		// The requester identity matters only for weighted techniques:
 		// under MPI+MPI every rank is a requester, so pass the rank (its

@@ -7,8 +7,8 @@ import (
 	"repro/internal/sim"
 )
 
-// TestRankOfIndexed checks the O(1) RankOf index on every communicator
-// shape: the contiguous world and node communicators and a strided Split.
+// TestRankOfIndexed checks the O(1) RankOf on every communicator shape:
+// the world communicator and the node communicators, members and not.
 func TestRankOfIndexed(t *testing.T) {
 	cl := cluster.MiniHPC(4)
 	eng := sim.NewEngine(1)
@@ -16,25 +16,24 @@ func TestRankOfIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = w.Run(func(r *Rank) {
+	err = w.Launch(func(r *Rank) {
 		if got := w.Comm().RankOf(r); got != r.Rank() {
 			t.Errorf("world RankOf(%d) = %d", r.Rank(), got)
 		}
 		nc := w.SplitTypeShared(r)
-		if got := nc.RankOf(r); got != r.Core() {
-			t.Errorf("node RankOf(rank %d) = %d, want core %d", r.Rank(), got, r.Core())
+		me := nc.RankOf(r)
+		if me != r.Core() {
+			t.Errorf("node RankOf(rank %d) = %d, want core %d", r.Rank(), me, r.Core())
 		}
-		// Odd/even split with reversed key order: a non-contiguous comm.
-		sc := w.Comm().Split(r, r.Rank()%2, -r.Rank())
-		me := sc.RankOf(r)
-		if sc.WorldRank(me) != r.Rank() {
-			t.Errorf("split comm index broken: RankOf→WorldRank = %d for rank %d", sc.WorldRank(me), r.Rank())
+		if nc.WorldRank(me) != r.Rank() {
+			t.Errorf("node comm index broken: RankOf→WorldRank = %d for rank %d", nc.WorldRank(me), r.Rank())
 		}
-		// A rank is never a member of the other color's communicator.
-		if r.Rank()%2 == 0 {
-			other := w.Rank((r.Rank() + 1) % w.Size())
-			if got := sc.RankOf(other); got != -1 {
-				t.Errorf("RankOf(non-member) = %d, want -1", got)
+		// Ranks of the neighbouring nodes are never members.
+		for _, other := range []int{r.Rank() - 4, r.Rank() + 4} {
+			if other >= 0 && other < w.Size() {
+				if got := nc.RankOf(w.Rank(other)); got != -1 {
+					t.Errorf("RankOf(non-member %d) = %d, want -1", other, got)
+				}
 			}
 		}
 	})
@@ -47,22 +46,31 @@ func TestRankOfIndexed(t *testing.T) {
 // world reset onto a reset engine reproduces a fresh world's run bit for
 // bit, including RMA lock accounting, across a shape change.
 func TestWorldResetMatchesFresh(t *testing.T) {
-	run := func(eng *sim.Engine, w *World) (float64, int64, sim.Time) {
-		var sum float64
-		var win *Win
-		err := w.Run(func(r *Rank) {
-			wn := w.Comm().WinAllocate(r, "w", 2)
-			win = wn
-			w.Comm().Barrier(r)
-			wn.Lock(r, 0, LockExclusive)
-			wn.FetchAndOp(r, 0, 0, 1)
-			wn.Unlock(r, 0, LockExclusive)
-			sum = w.Comm().Allreduce(r, float64(r.Rank()), OpSum)
+	// Every rank takes its node's queue lock and bumps the global counter
+	// inside the critical section.
+	run := func(eng *sim.Engine, w *World) (int64, int64, sim.Time) {
+		var gw *Win
+		var attempts int64
+		err := w.Launch(func(r *Rank) {
+			w.Comm().WinAllocateCont(r, "w", 2, func(g *Win) {
+				gw = g
+				w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(lw *Win) {
+					l := newLocker(lw, r, LockExclusive)
+					fop := g.NewFetchAndOpCont(r)
+					w.Comm().BarrierCont(r, func() {
+						l.Lock(func() {
+							fop(0, 0, 1, func(int64) {
+								l.Unlock(func() { attempts += lw.LockAttempts })
+							})
+						})
+					})
+				})
+			})
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sum, win.LockAttempts, eng.Now()
+		return gw.data[0][0], attempts, eng.Now()
 	}
 
 	cl := cluster.MiniHPC(2)
@@ -101,7 +109,7 @@ func TestWorldResetRejectsBadShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Run(func(r *Rank) {}); err != nil {
+	if err := w.Launch(func(*Rank) {}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Reset(1)
@@ -120,7 +128,7 @@ func BenchmarkCommRankOf(b *testing.B) {
 		b.Fatal(err)
 	}
 	var comms []*Comm
-	err = w.Run(func(r *Rank) { comms = append(comms, w.SplitTypeShared(r)) })
+	err = w.Launch(func(r *Rank) { comms = append(comms, w.SplitTypeShared(r)) })
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,19 +8,13 @@ import (
 )
 
 // Comm is a communicator: an ordered group of world ranks. Comm rank i is
-// world rank ranks[i].
+// world rank ranks[i]. Every communicator — the world one and the
+// node-local ones of SplitTypeShared — covers a contiguous world-rank range,
+// so RankOf is a subtraction.
 type Comm struct {
 	world *World
 	ranks []int
 	name  string
-	// contig marks communicators whose members are the contiguous world-rank
-	// range [ranks[0], ranks[0]+Size): the world communicator and the
-	// node-local ones. RankOf is then a subtraction; other communicators
-	// carry the rankIdx index below.
-	contig bool
-	// rankIdx maps world rank → comm rank (-1 for non-members); built once
-	// at communicator creation so RankOf never scans.
-	rankIdx []int32
 	// In-flight collective states, indexed seq − collBase. States retire in
 	// sequence order (every rank passes collective k before entering k+1),
 	// so the window is a short sliding slice; retired states recycle through
@@ -35,27 +29,10 @@ type Comm struct {
 	nodes int // distinct nodes spanned (computed lazily)
 }
 
-// newComm builds a communicator over the given world ranks, precomputing the
-// O(1) rank index. The ranks slice is owned by the communicator afterwards.
+// newComm builds a communicator over the given contiguous world ranks. The
+// ranks slice is owned by the communicator afterwards.
 func newComm(w *World, ranks []int, name string) *Comm {
-	c := &Comm{world: w, ranks: ranks, name: name, seqOf: make([]int, len(ranks))}
-	c.contig = true
-	for i, wr := range ranks {
-		if wr != ranks[0]+i {
-			c.contig = false
-			break
-		}
-	}
-	if !c.contig {
-		c.rankIdx = make([]int32, len(w.ranks))
-		for i := range c.rankIdx {
-			c.rankIdx[i] = -1
-		}
-		for i, wr := range ranks {
-			c.rankIdx[wr] = int32(i)
-		}
-	}
-	return c
+	return &Comm{world: w, ranks: ranks, name: name, seqOf: make([]int, len(ranks))}
 }
 
 // Size reports the number of ranks in the communicator.
@@ -64,18 +41,13 @@ func (c *Comm) Size() int { return len(c.ranks) }
 // Name returns the communicator's debug name.
 func (c *Comm) Name() string { return c.name }
 
-// RankOf returns r's rank within c, or -1 if r is not a member. It is O(1):
-// contiguous communicators subtract the base rank, the rest consult the
-// index built at creation time.
+// RankOf returns r's rank within c, or -1 if r is not a member.
 func (c *Comm) RankOf(r *Rank) int {
-	if c.contig {
-		i := r.rank - c.ranks[0]
-		if i < 0 || i >= len(c.ranks) {
-			return -1
-		}
-		return i
+	i := r.rank - c.ranks[0]
+	if i < 0 || i >= len(c.ranks) {
+		return -1
 	}
-	return int(c.rankIdx[r.rank])
+	return i
 }
 
 // WorldRank translates a comm rank to a world rank.
@@ -84,20 +56,9 @@ func (c *Comm) WorldRank(commRank int) int { return c.ranks[commRank] }
 // spansNodes reports how many distinct nodes the communicator covers.
 func (c *Comm) spansNodes() int {
 	if c.nodes == 0 {
-		if c.contig {
-			// Contiguous world ranks cover a contiguous node range.
-			c.nodes = c.world.ranks[c.ranks[len(c.ranks)-1]].node -
-				c.world.ranks[c.ranks[0]].node + 1
-		} else {
-			seen := make([]bool, c.world.cfg.Nodes)
-			for _, wr := range c.ranks {
-				n := c.world.ranks[wr].node
-				if !seen[n] {
-					seen[n] = true
-					c.nodes++
-				}
-			}
-		}
+		// Contiguous world ranks cover a contiguous node range.
+		c.nodes = c.world.ranks[c.ranks[len(c.ranks)-1]].node -
+			c.world.ranks[c.ranks[0]].node + 1
 	}
 	return c.nodes
 }
@@ -121,67 +82,15 @@ func (w *World) SplitTypeShared(r *Rank) *Comm {
 	return w.nodeComms[n]
 }
 
-// Split builds a communicator from the members with the same color, ordered
-// by (key, world rank). All ranks of c must call it; ranks passing a
-// negative color receive nil (MPI_COMM_NULL).
-func (c *Comm) Split(r *Rank, color, key int) *Comm {
-	type kv struct{ color, key, world int }
-	st := c.enter(r, "split")
-	if st.payload == nil {
-		st.payload = make([]kv, c.Size())
-	}
-	parts := st.payload.([]kv)
-	parts[c.RankOf(r)] = kv{color, key, r.rank}
-	c.arriveAndWait(r, st, c.latencyCost(1, 8))
-	var result *Comm
-	if color >= 0 {
-		if st.extra == nil {
-			st.extra = map[int]*Comm{}
-		}
-		comms := st.extra.(map[int]*Comm)
-		if comms[color] == nil {
-			var members []kv
-			for _, p := range parts {
-				if p.color == color {
-					members = append(members, p)
-				}
-			}
-			// stable order by (key, world rank)
-			for i := 1; i < len(members); i++ {
-				for j := i; j > 0; j-- {
-					a, b := members[j-1], members[j]
-					if b.key < a.key || (b.key == a.key && b.world < a.world) {
-						members[j-1], members[j] = b, a
-					}
-				}
-			}
-			ranks := make([]int, len(members))
-			for i, m := range members {
-				ranks[i] = m.world
-			}
-			comms[color] = newComm(c.world, ranks, fmt.Sprintf("%s/color%d", c.name, color))
-		}
-		result = comms[color]
-	}
-	c.leave(r, st)
-	return result
-}
-
 // collState tracks one in-flight collective operation on a communicator.
 type collState struct {
 	seq     int
 	arrived int
 	passed  int
-	wait    sim.WaitQueue
-	// conts holds goroutine-free arrivals (the *Cont collective variants) in
-	// arrival order — the machine-rank analogue of wait. A collective never
-	// mixes the two: all ranks of an executor are procs or all are machines.
+	// conts holds the continuations of the ranks that arrived before the
+	// last, in arrival order.
 	conts   []func()
-	rootIn  bool
-	acc     float64
-	vals    []float64
 	payload any
-	extra   any
 	kind    string
 	next    *collState // freelist link
 }
@@ -202,20 +111,12 @@ func (c *Comm) enter(r *Rank, kind string) *collState {
 	if st == nil {
 		st = c.collFree
 		if st == nil {
-			st = &collState{vals: make([]float64, c.Size())}
+			st = &collState{}
 		} else {
 			c.collFree = st.next
 			st.next = nil
-			if cap(st.vals) < c.Size() {
-				st.vals = make([]float64, c.Size())
-			} else {
-				st.vals = st.vals[:c.Size()]
-				for i := range st.vals {
-					st.vals[i] = 0
-				}
-			}
-			st.arrived, st.passed, st.rootIn, st.acc = 0, 0, false, 0
-			st.payload, st.extra = nil, nil
+			st.arrived, st.passed = 0, 0
+			st.payload = nil
 		}
 		st.kind = kind
 		st.seq = seq
@@ -226,35 +127,16 @@ func (c *Comm) enter(r *Rank, kind string) *collState {
 	return st
 }
 
-// arriveAndWait blocks r until every rank has arrived, then charges cost.
-func (c *Comm) arriveAndWait(r *Rank, st *collState, cost sim.Time) {
-	st.arrived++
-	if st.arrived == c.Size() {
-		if len(st.conts) > 0 {
-			panic(fmt.Sprintf("mpi: collective on %s mixes process and machine ranks", c.name))
-		}
-		st.wait.WakeAll()
-	} else {
-		st.wait.Wait(r.proc)
-	}
-	r.proc.Sleep(cost)
-}
-
-// arriveCont is arriveAndWait for goroutine-free ranks: instead of parking a
-// process it records cont and, when the last rank arrives, replays the
-// literal wake-and-sleep chain as engine events. Event positions are
-// byte-identical to the process version: the waiters' wake events occupy the
-// WakeAll resume positions (FIFO), the last arriver's post-cost continuation
-// is pushed next (its own Sleep), and each woken rank pushes its post-cost
-// continuation when its wake event fires (that rank's Sleep).
+// arriveCont records r's arrival at a synchronizing collective: cont runs
+// cost after the last rank arrives. When the last rank arrives the waiters
+// are released in arrival order — each release event, at the arrival
+// instant, schedules its rank's continuation cost later — and the last
+// arriver's own continuation is scheduled right after the releases.
 func (c *Comm) arriveCont(r *Rank, st *collState, cost sim.Time, cont func()) {
 	st.arrived++
 	if st.arrived < c.Size() {
 		st.conts = append(st.conts, cont)
 		return
-	}
-	if st.wait.Len() > 0 {
-		panic(fmt.Sprintf("mpi: collective on %s mixes process and machine ranks", c.name))
 	}
 	eng := c.world.eng
 	now := eng.Now()
@@ -303,102 +185,12 @@ func (c *Comm) latencyCost(rounds int, bytes int) sim.Time {
 	return sim.Time(rounds) * depth * perHop
 }
 
-// Barrier blocks until every rank of c has entered.
-func (c *Comm) Barrier(r *Rank) {
-	st := c.enter(r, "barrier")
-	c.arriveAndWait(r, st, c.latencyCost(2, 0))
-	c.leave(r, st)
-}
-
-// BarrierCont is Barrier for goroutine-free ranks: cont runs at the event
-// position where the literal caller resumed past the barrier.
+// BarrierCont enters an MPI_Barrier on c: cont runs once every rank of c
+// has entered, after the barrier's tree-latency cost.
 func (c *Comm) BarrierCont(r *Rank, cont func()) {
 	st := c.enter(r, "barrier")
 	c.arriveCont(r, st, c.latencyCost(2, 0), func() {
 		c.leave(r, st)
 		cont()
 	})
-}
-
-// ReduceOp names a reduction operator.
-type ReduceOp int
-
-// Supported reduction operators.
-const (
-	OpSum ReduceOp = iota
-	OpMax
-	OpMin
-)
-
-func (op ReduceOp) apply(a, b float64) float64 {
-	switch op {
-	case OpSum:
-		return a + b
-	case OpMax:
-		return math.Max(a, b)
-	case OpMin:
-		return math.Min(a, b)
-	}
-	panic("mpi: unknown ReduceOp")
-}
-
-// Bcast distributes root's value to every rank. Non-root ranks block until
-// the root has entered; the root does not wait for the others.
-func (c *Comm) Bcast(r *Rank, root int, val float64) float64 {
-	st := c.enter(r, "bcast")
-	me := c.RankOf(r)
-	if me == root {
-		st.acc = val
-		st.rootIn = true
-		st.wait.WakeAll()
-		r.proc.Sleep(c.latencyCost(1, 8))
-	} else {
-		for !st.rootIn {
-			st.wait.Wait(r.proc)
-		}
-		r.proc.Sleep(c.latencyCost(1, 8))
-	}
-	out := st.acc
-	c.leave(r, st)
-	return out
-}
-
-// Allreduce combines every rank's value with op and returns the result on
-// all ranks. All ranks block until the last has entered.
-func (c *Comm) Allreduce(r *Rank, val float64, op ReduceOp) float64 {
-	st := c.enter(r, "allreduce")
-	if st.arrived == 0 {
-		st.acc = val
-	} else {
-		st.acc = op.apply(st.acc, val)
-	}
-	c.arriveAndWait(r, st, c.latencyCost(2, 8))
-	out := st.acc
-	c.leave(r, st)
-	return out
-}
-
-// Gather collects each rank's value on root, in comm-rank order. Non-root
-// ranks return nil and do not wait for completion beyond their own send.
-func (c *Comm) Gather(r *Rank, root int, val float64) []float64 {
-	st := c.enter(r, "gather")
-	me := c.RankOf(r)
-	st.vals[me] = val
-	st.arrived++
-	if me == root {
-		for st.arrived < c.Size() {
-			st.wait.Wait(r.proc)
-		}
-		r.proc.Sleep(c.latencyCost(1, 8*c.Size()))
-		out := make([]float64, c.Size())
-		copy(out, st.vals)
-		c.leave(r, st)
-		return out
-	}
-	if st.arrived == c.Size() {
-		st.wait.WakeAll()
-	}
-	r.proc.Sleep(c.latencyCost(1, 8))
-	c.leave(r, st)
-	return nil
 }

@@ -47,7 +47,7 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 	}
 	// Node communicators must match the per-node rank sets.
 	ran := false
-	w.Start(func(r *Rank) {
+	if err := w.Launch(func(r *Rank) {
 		nc := w.SplitTypeShared(r)
 		if nc.Size() != wantRanks[r.Node()] {
 			t.Errorf("rank %d node comm size %d, want %d", r.Rank(), nc.Size(), wantRanks[r.Node()])
@@ -56,8 +56,7 @@ func TestNewWorldHeterogeneousPlacement(t *testing.T) {
 			t.Errorf("rank %d node rank %d, want core %d", r.Rank(), nc.RankOf(r), r.Core())
 		}
 		ran = true
-	})
-	if err := eng.Run(); err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {

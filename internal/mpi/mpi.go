@@ -1,13 +1,16 @@
 // Package mpi models an MPI-3 runtime on top of the discrete-event engine in
-// internal/sim. It provides the subset of MPI the paper's implementation
-// rests on — two-sided messaging, collectives, passive-target RMA with the
-// lock-polling protocol, and MPI-3 shared-memory windows
+// internal/sim. It provides the subset of MPI the paper's executors rest on
+// — barriers, window creation, passive-target RMA with the lock-polling
+// protocol, MPI_Fetch_and_op, and MPI-3 shared-memory windows
 // (MPI_Win_allocate_shared / MPI_Comm_split_type(SHARED)) — with explicit
 // cost models taken from the cluster description.
 //
-// Ranks are simulated processes; window memory is real Go memory touched
-// only while a rank holds engine control, so the model is race-free by
-// construction while contention and queueing emerge from the Server ports.
+// Ranks are continuation machines (World.Launch): every MPI call takes the
+// continuation to run where a blocking caller would have resumed, and runs
+// its own steps as engine events at the exact (time, scheduling-time) keys
+// of the blocking protocol. Window memory is real Go memory touched only
+// inside engine callbacks, so the model is race-free by construction while
+// contention and queueing emerge from the Server ports.
 package mpi
 
 import (
@@ -15,12 +18,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
-)
-
-// Wildcards for two-sided matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
 )
 
 // World is a set of ranks placed on a simulated cluster. Ranks are numbered
@@ -34,8 +31,6 @@ type World struct {
 	nodeOff   []int // first world rank of each node
 	ranks     []*Rank
 
-	// nicPort serializes inter-node message handling per node.
-	nicPort []*sim.Server
 	// memPort serializes RMA operations (including lock attempts) targeting
 	// windows hosted on a node. This is the resource whose saturation
 	// produces the paper's lock-polling pathology. Each port also carries
@@ -79,12 +74,10 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 		cfg:       cfg,
 		nodeRanks: make([]int, cfg.Nodes),
 		nodeOff:   make([]int, cfg.Nodes),
-		nicPort:   make([]*sim.Server, cfg.Nodes),
 		memPort:   make([]*rmaPort, cfg.Nodes),
 	}
 	size := 0
 	for n := 0; n < cfg.Nodes; n++ {
-		w.nicPort[n] = &sim.Server{}
 		w.memPort[n] = &rmaPort{}
 		k := ranksPerNode
 		if c := cfg.Cores(n); k > c {
@@ -113,8 +106,7 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 }
 
 // Reset reinitializes a pooled world in place for a new cell on eng (which
-// the caller has already Reset): topology slices, rank structs, NIC and RMA
-// ports, communicators and window pools are rebuilt or cleared while keeping
+// the caller has already Reset): topology slices, rank structs, RMA ports, communicators and window pools are rebuilt or cleared while keeping
 // their backing allocations, so a reused world behaves observationally
 // identically to NewWorld(eng, cfg, ranksPerNode) — same rank placement,
 // zeroed ports and counters, fresh collective state — with O(1) steady-state
@@ -131,15 +123,9 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 	w.cfg = cfg
 	w.nodeRanks = resizeZeroed(w.nodeRanks, cfg.Nodes)
 	w.nodeOff = resizeZeroed(w.nodeOff, cfg.Nodes)
-	w.nicPort = resizeSlice(w.nicPort, cfg.Nodes)
 	w.memPort = resizeSlice(w.memPort, cfg.Nodes)
 	size := 0
 	for n := 0; n < cfg.Nodes; n++ {
-		if w.nicPort[n] == nil {
-			w.nicPort[n] = &sim.Server{}
-		} else {
-			*w.nicPort[n] = sim.Server{}
-		}
 		if w.memPort[n] == nil {
 			w.memPort[n] = &rmaPort{}
 		} else {
@@ -234,32 +220,10 @@ func (w *World) Rank(r int) *Rank { return w.ranks[r] }
 // port; used by overhead-accounting metrics and tests.
 func (w *World) MemPortBusy(n int) sim.Time { return w.memPort[n].srv.BusyTime() }
 
-// Start spawns one simulated process per rank, all running body. It must be
-// called before the engine runs.
-func (w *World) Start(body func(*Rank)) {
-	for _, r := range w.ranks {
-		r := r
-		r.proc = w.eng.Spawn(fmt.Sprintf("rank%d", r.rank), func(p *sim.Proc) {
-			body(r)
-		})
-	}
-}
-
-// Run is a convenience that spawns body on every rank and drives the engine
-// to completion, returning the engine's error (e.g. deadlock).
-func (w *World) Run(body func(*Rank)) error {
-	w.Start(body)
-	return w.eng.Run()
-}
-
-// Launch drives a world of goroutine-free machine ranks: start is invoked
-// for every rank, in rank order, inside an engine event at virtual time
-// zero — the exact position Start's per-rank spawn resume occupied — and
-// the engine then runs to completion. start must build the rank's
-// event-driven state machine (the *Cont APIs) and return; no simulated
-// process is created, so the cell spawns no goroutines. Machine ranks must
-// not call the blocking Rank primitives (Compute, Lock, collectives without
-// a Cont suffix) — those need a process to park.
+// Launch drives the world: start is invoked for every rank, in rank order,
+// inside an engine event at virtual time zero, and the engine then runs to
+// completion. start builds the rank's event-driven state machine (the *Cont
+// APIs) and returns; the run spawns no goroutines.
 func (w *World) Launch(start func(*Rank)) error {
 	// The literal A/B runs of the fast-forward differential tests force
 	// every AbsorbAsOf site through the queue.
@@ -277,14 +241,6 @@ type Rank struct {
 	rank  int
 	node  int
 	core  int
-	proc  *sim.Proc
-
-	mailbox  []*Message    // arrived, unmatched messages
-	recvWait sim.WaitQueue // parked receivers
-	recvSrc  int           // active posted receive (valid while recvWait nonempty)
-	recvTag  int
-
-	computeTime sim.Time // cumulative execution time (for utilization stats)
 
 	// pollerBuf is the rank's reusable lock-poller: a rank has at most one
 	// outstanding Win.Lock, so the contended path allocates nothing in
@@ -313,36 +269,14 @@ func (r *Rank) Core() int { return r.core }
 // World returns the owning world.
 func (r *Rank) World() *World { return r.world }
 
-// Proc exposes the underlying simulated process (nil for the goroutine-free
-// machine ranks of World.Launch).
-func (r *Rank) Proc() *sim.Proc { return r.proc }
-
 // Now reports virtual time.
 func (r *Rank) Now() sim.Time { return r.world.eng.Now() }
 
-// Compute executes ref seconds of reference-core work on this rank's core,
-// scaled by the node's speed and the cluster's noise/perturbation models.
-func (r *Rank) Compute(ref sim.Time) {
-	d := r.world.cfg.ExecTime(r.node, ref, r.proc.Now(), r.world.eng.Rand())
-	r.computeTime += d
-	r.proc.Sleep(d)
-}
-
-// ComputeTime reports the cumulative time this rank spent in Compute.
-func (r *Rank) ComputeTime() sim.Time { return r.computeTime }
-
-// ComputeCost charges ref seconds of reference work starting now and
-// returns the scaled duration without scheduling anything: fully
-// event-driven executors schedule their own completion event at
-// (now+d, now) — the exact position Compute's wake-up occupied.
+// ComputeCost returns how long ref seconds of reference-core work starting
+// now take on this rank's core, scaled by the node's speed and the
+// cluster's noise/perturbation models. It schedules nothing: the caller
+// schedules its completion event at (now+d, now).
 func (r *Rank) ComputeCost(ref sim.Time) sim.Time {
 	eng := r.world.eng
-	d := r.world.cfg.ExecTime(r.node, ref, eng.Now(), eng.Rand())
-	r.computeTime += d
-	return d
-}
-
-// sameNode reports whether two ranks share a node (shared-memory domain).
-func (w *World) sameNode(a, b int) bool {
-	return w.ranks[a].node == w.ranks[b].node
+	return r.world.cfg.ExecTime(r.node, ref, eng.Now(), eng.Rand())
 }

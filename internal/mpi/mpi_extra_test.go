@@ -7,129 +7,41 @@ import (
 	"repro/internal/sim"
 )
 
-func TestMessagesFromSameSourceArriveFIFO(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var got []int
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			for i := 0; i < 10; i++ {
-				r.Send(1, 0, 64, i)
-			}
-		} else {
-			for i := 0; i < 10; i++ {
-				got = append(got, r.Recv(0, 0).Payload.(int))
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != i {
-			t.Fatalf("message order = %v", got)
-		}
-	}
-}
-
-func TestLargeMessageSlowerThanSmall(t *testing.T) {
-	timeFor := func(bytes int) sim.Time {
-		_, w := newTestWorld(t, 2, 1)
-		var at sim.Time
-		if err := w.Run(func(r *Rank) {
-			if r.Rank() == 0 {
-				r.Send(1, 0, bytes, nil)
-			} else {
-				r.Recv(0, 0)
-				at = r.Now()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	small := timeFor(8)
-	large := timeFor(1 << 24) // 16 MiB
-	if large <= small {
-		t.Fatalf("16MiB message (%v) not slower than 8B (%v)", large, small)
-	}
-	// The bandwidth term must roughly match: 16MiB at 12.5 GB/s ≈ 1.3 ms.
-	wire := float64(large - small)
-	if wire < 0.8e-3 || wire > 3e-3 {
-		t.Fatalf("bandwidth term = %v s, want ≈1.3 ms", wire)
-	}
-}
-
-func TestIncastContentionSerializesAtNIC(t *testing.T) {
-	// Eight senders to one receiver: NIC port service must serialize the
-	// deliveries, so the last arrival is later than a lone message.
-	lastFor := func(senders int) sim.Time {
-		eng := sim.NewEngine(1)
-		cfg := cluster.MiniHPC(senders + 1)
-		w, err := NewWorld(eng, &cfg, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last sim.Time
-		if err := w.Run(func(r *Rank) {
-			if r.Rank() < senders {
-				r.Send(senders, 0, 8, nil)
-			} else {
-				for i := 0; i < senders; i++ {
-					r.Recv(AnySource, AnyTag)
-				}
-				last = r.Now()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return last
-	}
-	one := lastFor(1)
-	eight := lastFor(8)
-	if eight <= one {
-		t.Fatalf("8-way incast (%v) not slower than single send (%v)", eight, one)
-	}
-}
-
 func TestCollectiveKindMismatchPanics(t *testing.T) {
 	_, w := newTestWorld(t, 1, 2)
 	panicked := false
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
 		if r.Rank() == 0 {
-			w.Comm().Barrier(r)
+			w.Comm().BarrierCont(r, func() {})
 		} else {
-			w.Comm().Allreduce(r, 1, OpSum)
+			w.Comm().WinAllocateCont(r, "x", 1, func(*Win) {})
 		}
 	})
-	_ = err // the survivor deadlocks; that's expected after the panic
+	_ = err // the survivor never leaves its barrier; that's expected after the panic
 	if !panicked {
 		t.Fatal("mismatched collectives did not panic")
-	}
-}
-
-func TestReduceOps(t *testing.T) {
-	if OpSum.apply(2, 3) != 5 || OpMax.apply(2, 3) != 3 || OpMin.apply(2, 3) != 2 {
-		t.Fatal("reduce op table broken")
 	}
 }
 
 func TestWinAccountingCounters(t *testing.T) {
 	_, w := newTestWorld(t, 1, 4)
 	var win *Win
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		wn := nc.WinAllocateShared(r, "acc", 1)
-		win = wn
-		for i := 0; i < 3; i++ {
-			wn.Lock(r, 0, LockExclusive)
-			wn.Unlock(r, 0, LockExclusive)
-			wn.FetchAndOp(r, 0, 0, 1)
-		}
+	err := w.Launch(func(r *Rank) {
+		w.SplitTypeShared(r).WinAllocateSharedCont(r, "acc", 1, func(wn *Win) {
+			win = wn
+			l := newLocker(wn, r, LockExclusive)
+			fop := wn.NewFetchAndOpCont(r)
+			repeat(3, func(_ int, next func()) {
+				l.Lock(func() {
+					l.Unlock(func() { fop(0, 0, 1, func(int64) { next() }) })
+				})
+			}, nil)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,17 +63,20 @@ func TestWinAccountingCounters(t *testing.T) {
 func TestUnlockWithoutLockPanics(t *testing.T) {
 	_, w := newTestWorld(t, 1, 1)
 	panicked := false
-	err := w.Run(func(r *Rank) {
+	func() {
+		// The release may fail inline or in a later event; either way the
+		// panic leaves Launch.
 		defer func() {
 			if recover() != nil {
 				panicked = true
 			}
 		}()
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "x", 1)
-		win.Unlock(r, 0, LockExclusive)
-	})
-	_ = err
+		_ = w.Launch(func(r *Rank) {
+			w.SplitTypeShared(r).WinAllocateSharedCont(r, "x", 1, func(win *Win) {
+				newLocker(win, r, LockExclusive).Unlock(func() {})
+			})
+		})
+	}()
 	if !panicked {
 		t.Fatal("Unlock without Lock did not panic")
 	}
@@ -171,58 +86,21 @@ func TestSharedAccessValidation(t *testing.T) {
 	// Direct access to a non-shared window panics.
 	_, w := newTestWorld(t, 1, 2)
 	panicked := 0
-	err := w.Run(func(r *Rank) {
-		defer func() {
-			if recover() != nil {
-				panicked++
-			}
-		}()
-		win := w.Comm().WinAllocate(r, "plain", 1)
-		win.SharedRead(r, 0, 0)
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "plain", 1, func(win *Win) {
+			defer func() {
+				if recover() != nil {
+					panicked++
+				}
+			}()
+			win.Shared(r, 0)
+		})
 	})
-	_ = err
+	if err != nil {
+		t.Fatal(err)
+	}
 	if panicked != 2 {
 		t.Fatalf("%d panics, want 2 (both ranks)", panicked)
-	}
-}
-
-func TestBcastNonRootWaitsForRoot(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var nonRootAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Proc().Sleep(3)
-			w.Comm().Bcast(r, 0, 9)
-		} else {
-			w.Comm().Bcast(r, 0, 0)
-			nonRootAt = r.Now()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nonRootAt < 3 {
-		t.Fatalf("non-root returned from Bcast at %v, before the root entered", nonRootAt)
-	}
-}
-
-func TestRootDoesNotWaitInBcast(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var rootAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			w.Comm().Bcast(r, 0, 1)
-			rootAt = r.Now()
-		} else {
-			r.Proc().Sleep(10)
-			w.Comm().Bcast(r, 0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rootAt >= 10 {
-		t.Fatalf("root blocked in Bcast until %v", rootAt)
 	}
 }
 
@@ -234,11 +112,8 @@ func TestManyRanksBarrierScales(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := 0
-	if err := w.Run(func(r *Rank) {
-		for i := 0; i < 3; i++ {
-			w.Comm().Barrier(r)
-		}
-		done++
+	if err := w.Launch(func(r *Rank) {
+		repeat(3, func(_ int, next func()) { w.Comm().BarrierCont(r, next) }, func() { done++ })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,16 +127,21 @@ func TestLockFairnessIsNotStarvation(t *testing.T) {
 	// make progress (the executor's liveness depends on it).
 	_, w := newTestWorld(t, 1, 8)
 	acq := make([]int, 8)
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "fair", 1)
-		for i := 0; i < 50; i++ {
-			win.Lock(r, 0, LockExclusive)
-			r.Proc().Sleep(2 * sim.Microsecond)
-			win.Unlock(r, 0, LockExclusive)
-			acq[nc.RankOf(r)]++
-			r.Compute(10 * sim.Microsecond)
-		}
+		nc.WinAllocateSharedCont(r, "fair", 1, func(win *Win) {
+			l := newLocker(win, r, LockExclusive)
+			repeat(50, func(_ int, next func()) {
+				l.Lock(func() {
+					after(r, 2*sim.Microsecond, func() {
+						l.Unlock(func() {
+							acq[nc.RankOf(r)]++
+							compute(r, 10*sim.Microsecond, next)
+						})
+					})
+				})
+			}, nil)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,6 +18,60 @@ func newTestWorld(t testing.TB, nodes, perNode int) (*sim.Engine, *World) {
 	return eng, w
 }
 
+// repeat runs body n times in sequence on a machine rank, then done (if
+// non-nil). body receives its iteration and the continuation starting the
+// next one.
+func repeat(n int, body func(i int, next func()), done func()) {
+	i := 0
+	var next func()
+	next = func() {
+		if i == n {
+			if done != nil {
+				done()
+			}
+			return
+		}
+		i++
+		body(i-1, next)
+	}
+	next()
+}
+
+// after runs fn d after now on r's engine.
+func after(r *Rank, d sim.Time, fn func()) { r.World().Engine().After(d, fn) }
+
+// compute runs fn after ref seconds of reference work on r's core.
+func compute(r *Rank, ref sim.Time, fn func()) { after(r, r.ComputeCost(ref), fn) }
+
+// locker wraps one rank's lock and unlock issuers on win[0] so each
+// acquisition can continue differently.
+type locker struct {
+	eng            *sim.Engine
+	lock           func()
+	unlock         func(arrival, born sim.Time)
+	granted, freed func()
+}
+
+func newLocker(win *Win, r *Rank, lockType int) *locker {
+	l := &locker{eng: r.World().Engine()}
+	l.lock = win.NewLockCont(r, 0, lockType, func() { l.granted() })
+	l.unlock = win.NewUnlockCont(r, 0, lockType, func(sim.Time) { l.freed() })
+	return l
+}
+
+// Lock acquires the lock and runs then holding it.
+func (l *locker) Lock(then func()) {
+	l.granted = then
+	l.lock()
+}
+
+// Unlock releases the lock now and runs then after the release.
+func (l *locker) Unlock(then func()) {
+	l.freed = then
+	now := l.eng.Now()
+	l.unlock(now, now)
+}
+
 func TestWorldLayout(t *testing.T) {
 	_, w := newTestWorld(t, 3, 4)
 	if w.Size() != 12 {
@@ -42,153 +96,34 @@ func TestNewWorldRejectsOversubscription(t *testing.T) {
 	}
 }
 
-func TestSendRecvAcrossNodes(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var got *Message
-	var recvAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(1, 7, 1024, "payload")
-		} else {
-			got = r.Recv(0, 7)
-			recvAt = r.Now()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got == nil || got.Src != 0 || got.Tag != 7 || got.Payload.(string) != "payload" {
-		t.Fatalf("bad message: %+v", got)
-	}
-	// Inter-node: must include at least the wire latency.
-	if recvAt < w.Cluster().Net.Latency {
-		t.Fatalf("receive completed at %v, faster than latency %v", recvAt, w.Cluster().Net.Latency)
-	}
-}
-
-func TestSendRecvIntraNodeFasterThanInterNode(t *testing.T) {
-	timeFor := func(nodes, perNode int, dst int) sim.Time {
-		_, w := newTestWorld(t, nodes, perNode)
-		var at sim.Time
-		if err := w.Run(func(r *Rank) {
-			switch r.Rank() {
-			case 0:
-				r.Send(dst, 0, 64, nil)
-			case dst:
-				r.Recv(0, 0)
-				at = r.Now()
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		return at
-	}
-	intra := timeFor(1, 2, 1)
-	inter := timeFor(2, 1, 1)
-	if intra >= inter {
-		t.Fatalf("intra-node %v not faster than inter-node %v", intra, inter)
-	}
-}
-
-func TestRecvBlocksUntilArrival(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var recvAt sim.Time
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Proc().Sleep(5)
-			r.Send(1, 1, 8, nil)
-		} else {
-			r.Recv(AnySource, AnyTag)
-			recvAt = r.Now()
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recvAt < 5 {
-		t.Fatalf("Recv returned at %v, before message was sent", recvAt)
-	}
-}
-
-func TestRecvMatchingByTagAndSource(t *testing.T) {
-	_, w := newTestWorld(t, 1, 3)
-	var order []int
-	err := w.Run(func(r *Rank) {
-		switch r.Rank() {
-		case 0:
-			r.Send(2, 10, 8, nil)
-		case 1:
-			r.Proc().Sleep(1e-3)
-			r.Send(2, 20, 8, nil)
-		case 2:
-			m := r.Recv(1, 20) // must skip the earlier tag-10 message
-			order = append(order, m.Tag)
-			m = r.Recv(AnySource, AnyTag)
-			order = append(order, m.Tag)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 20 || order[1] != 10 {
-		t.Fatalf("receive order = %v, want [20 10]", order)
-	}
-}
-
-func TestIprobe(t *testing.T) {
-	_, w := newTestWorld(t, 1, 2)
-	err := w.Run(func(r *Rank) {
-		if r.Rank() == 0 {
-			r.Send(1, 5, 8, nil)
-		} else {
-			if r.Iprobe(0, 5) {
-				t.Error("Iprobe true before any delay")
-			}
-			r.Proc().Sleep(1e-3)
-			if !r.Iprobe(0, 5) {
-				t.Error("Iprobe false after message arrival")
-			}
-			if r.Iprobe(0, 99) {
-				t.Error("Iprobe matched wrong tag")
-			}
-			r.Recv(0, 5)
-			if r.PendingMessages() != 0 {
-				t.Error("mailbox not drained")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
-	_, w := newTestWorld(t, 2, 4)
+	eng, w := newTestWorld(t, 2, 4)
 	var minExit sim.Time = 1 << 30
-	err := w.Run(func(r *Rank) {
-		r.Proc().Sleep(sim.Time(r.Rank()) * 0.5) // staggered arrivals
-		w.Comm().Barrier(r)
-		if r.Now() < minExit {
-			minExit = r.Now()
-		}
+	left := 0
+	err := w.Launch(func(r *Rank) {
+		after(r, sim.Time(r.Rank())*0.5, func() { // staggered arrivals
+			w.Comm().BarrierCont(r, func() {
+				left++
+				if eng.Now() < minExit {
+					minExit = eng.Now()
+				}
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	lastArrival := sim.Time(7) * 0.5
-	if minExit < lastArrival {
-		t.Fatalf("a rank left the barrier at %v, before last arrival %v", minExit, lastArrival)
+	if left != 8 || minExit < lastArrival {
+		t.Fatalf("%d ranks left the barrier, first at %v, before last arrival %v", left, minExit, lastArrival)
 	}
 }
 
 func TestBarrierRepeats(t *testing.T) {
 	_, w := newTestWorld(t, 2, 2)
 	count := 0
-	err := w.Run(func(r *Rank) {
-		for i := 0; i < 5; i++ {
-			w.Comm().Barrier(r)
-		}
-		count++
+	err := w.Launch(func(r *Rank) {
+		repeat(5, func(_ int, next func()) { w.Comm().BarrierCont(r, next) }, func() { count++ })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -198,74 +133,11 @@ func TestBarrierRepeats(t *testing.T) {
 	}
 }
 
-func TestBcast(t *testing.T) {
-	_, w := newTestWorld(t, 2, 2)
-	got := make([]float64, 4)
-	err := w.Run(func(r *Rank) {
-		val := -1.0
-		if r.Rank() == 2 {
-			val = 42.5
-		}
-		got[r.Rank()] = w.Comm().Bcast(r, 2, val)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != 42.5 {
-			t.Fatalf("rank %d got %v, want 42.5", i, v)
-		}
-	}
-}
-
-func TestAllreduce(t *testing.T) {
-	_, w := newTestWorld(t, 2, 3)
-	sums := make([]float64, 6)
-	maxs := make([]float64, 6)
-	err := w.Run(func(r *Rank) {
-		sums[r.Rank()] = w.Comm().Allreduce(r, float64(r.Rank()+1), OpSum)
-		maxs[r.Rank()] = w.Comm().Allreduce(r, float64(r.Rank()), OpMax)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sums {
-		if sums[i] != 21 { // 1+2+...+6
-			t.Fatalf("rank %d sum = %v, want 21", i, sums[i])
-		}
-		if maxs[i] != 5 {
-			t.Fatalf("rank %d max = %v, want 5", i, maxs[i])
-		}
-	}
-}
-
-func TestGather(t *testing.T) {
-	_, w := newTestWorld(t, 1, 4)
-	var rootGot []float64
-	err := w.Run(func(r *Rank) {
-		out := w.Comm().Gather(r, 1, float64(r.Rank()*r.Rank()))
-		if r.Rank() == 1 {
-			rootGot = out
-		} else if out != nil {
-			t.Errorf("non-root rank %d got non-nil gather result", r.Rank())
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 4, 9}
-	for i := range want {
-		if rootGot[i] != want[i] {
-			t.Fatalf("gather = %v, want %v", rootGot, want)
-		}
-	}
-}
-
 func TestSplitTypeShared(t *testing.T) {
 	_, w := newTestWorld(t, 2, 3)
 	comms := make([]*Comm, 6)
 	ranks := make([]int, 6)
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		c := w.SplitTypeShared(r)
 		comms[r.Rank()] = c
 		ranks[r.Rank()] = c.RankOf(r)
@@ -292,42 +164,23 @@ func TestSplitTypeShared(t *testing.T) {
 	}
 }
 
-func TestCommSplitByColor(t *testing.T) {
-	_, w := newTestWorld(t, 2, 2)
-	sizes := make([]int, 4)
-	myRank := make([]int, 4)
-	err := w.Run(func(r *Rank) {
-		c := w.Comm().Split(r, r.Rank()%2, -r.Rank())
-		sizes[r.Rank()] = c.Size()
-		myRank[r.Rank()] = c.RankOf(r)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if sizes[i] != 2 {
-			t.Fatalf("rank %d split comm size = %d, want 2", i, sizes[i])
-		}
-	}
-	// Keys were -rank, so higher world ranks come first within a color.
-	if myRank[0] != 1 || myRank[2] != 0 {
-		t.Fatalf("color-0 ordering wrong: rank0→%d rank2→%d", myRank[0], myRank[2])
-	}
-}
-
 func TestWinAllocateAndAtomics(t *testing.T) {
 	_, w := newTestWorld(t, 2, 2)
 	const perRank = 100
-	sum := int64(0)
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "ctr", 4)
-		for i := 0; i < perRank; i++ {
-			win.FetchAndOp(r, 0, 0, 1)
-		}
-		w.Comm().Barrier(r)
-		if r.Rank() == 0 {
-			sum = win.FetchAndOp(r, 0, 0, 0)
-		}
+	sum := int64(-1)
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "ctr", 4, func(win *Win) {
+			fop := win.NewFetchAndOpCont(r)
+			repeat(perRank, func(_ int, next func()) {
+				fop(0, 0, 1, func(int64) { next() })
+			}, func() {
+				w.Comm().BarrierCont(r, func() {
+					if r.Rank() == 0 {
+						fop(0, 0, 0, func(old int64) { sum = old })
+					}
+				})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,12 +193,16 @@ func TestWinAllocateAndAtomics(t *testing.T) {
 func TestFetchAndOpReturnsDistinctOldValues(t *testing.T) {
 	_, w := newTestWorld(t, 2, 4)
 	seen := map[int64]int{}
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "ctr", 1)
-		for i := 0; i < 10; i++ {
-			old := win.FetchAndOp(r, 0, 0, 1)
-			seen[old]++
-		}
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "ctr", 1, func(win *Win) {
+			fop := win.NewFetchAndOpCont(r)
+			repeat(10, func(_ int, next func()) {
+				fop(0, 0, 1, func(old int64) {
+					seen[old]++
+					next()
+				})
+			}, nil)
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,98 +220,66 @@ func TestFetchAndOpReturnsDistinctOldValues(t *testing.T) {
 	}
 }
 
-func TestCompareAndSwap(t *testing.T) {
-	_, w := newTestWorld(t, 1, 2)
-	winners := 0
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "cas", 1)
-		if win.CompareAndSwap(r, 0, 0, 0, int64(r.Rank())+100) == 0 {
-			winners++
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if winners != 1 {
-		t.Fatalf("%d CAS winners, want exactly 1", winners)
-	}
-}
-
-func TestPutGet(t *testing.T) {
-	_, w := newTestWorld(t, 2, 1)
-	var got []int64
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "buf", 8)
-		if r.Rank() == 0 {
-			win.Put(r, 1, 2, []int64{10, 20, 30})
-			r.Send(1, 0, 1, nil) // notify
-		} else {
-			r.Recv(0, 0)
-			got = win.Get(r, 1, 2, 3)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{10, 20, 30}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Get = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestExclusiveLockMutualExclusion(t *testing.T) {
 	_, w := newTestWorld(t, 1, 8)
-	inside, peak := 0, 0
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "q", 2)
-		for i := 0; i < 5; i++ {
-			win.Lock(r, 0, LockExclusive)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			r.Compute(10 * sim.Microsecond)
-			inside--
-			win.Unlock(r, 0, LockExclusive)
-		}
+	inside, peak, done := 0, 0, 0
+	err := w.Launch(func(r *Rank) {
+		w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 2, func(win *Win) {
+			l := newLocker(win, r, LockExclusive)
+			repeat(5, func(_ int, next func()) {
+				l.Lock(func() {
+					inside++
+					if inside > peak {
+						peak = inside
+					}
+					compute(r, 10*sim.Microsecond, func() {
+						inside--
+						l.Unlock(next)
+					})
+				})
+			}, func() { done++ })
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if peak != 1 {
-		t.Fatalf("peak lock holders = %d, want 1", peak)
+	if done != 8 || peak != 1 {
+		t.Fatalf("%d ranks done, peak lock holders = %d; want 8 and 1", done, peak)
 	}
 }
 
 func TestSharedLockAllowsReadersExcludesWriter(t *testing.T) {
-	_, w := newTestWorld(t, 1, 4)
+	eng, w := newTestWorld(t, 1, 4)
 	readersPeak := 0
 	readers := 0
 	var writerAt, lastReaderRelease sim.Time
-	err := w.Run(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "rw", 1)
-		if r.Rank() < 3 {
-			win.Lock(r, 0, LockShared)
-			readers++
-			if readers > readersPeak {
-				readersPeak = readers
+	err := w.Launch(func(r *Rank) {
+		w.SplitTypeShared(r).WinAllocateSharedCont(r, "rw", 1, func(win *Win) {
+			if r.Rank() < 3 {
+				l := newLocker(win, r, LockShared)
+				l.Lock(func() {
+					readers++
+					if readers > readersPeak {
+						readersPeak = readers
+					}
+					after(r, 100*sim.Microsecond, func() {
+						readers--
+						if eng.Now() > lastReaderRelease {
+							lastReaderRelease = eng.Now()
+						}
+						l.Unlock(func() {})
+					})
+				})
+				return
 			}
-			r.Proc().Sleep(100 * sim.Microsecond)
-			readers--
-			if r.Now() > lastReaderRelease {
-				lastReaderRelease = r.Now()
-			}
-			win.Unlock(r, 0, LockShared)
-		} else {
-			r.Proc().Sleep(10 * sim.Microsecond) // let readers in first
-			win.Lock(r, 0, LockExclusive)
-			writerAt = r.Now()
-			win.Unlock(r, 0, LockExclusive)
-		}
+			l := newLocker(win, r, LockExclusive)
+			after(r, 10*sim.Microsecond, func() { // let readers in first
+				l.Lock(func() {
+					writerAt = eng.Now()
+					l.Unlock(func() {})
+				})
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -469,22 +294,16 @@ func TestSharedLockAllowsReadersExcludesWriter(t *testing.T) {
 
 func TestLockAttemptsGrowUnderContention(t *testing.T) {
 	attemptsFor := func(perNode int) float64 {
-		eng := sim.NewEngine(1)
-		cfg := cluster.MiniHPC(1)
-		w, err := NewWorld(eng, &cfg, perNode)
-		if err != nil {
-			t.Fatal(err)
-		}
+		_, w := newTestWorld(t, 1, perNode)
 		var win *Win
-		if err := w.Run(func(r *Rank) {
-			nc := w.SplitTypeShared(r)
-			wn := nc.WinAllocateShared(r, "q", 1)
-			win = wn
-			for i := 0; i < 20; i++ {
-				wn.Lock(r, 0, LockExclusive)
-				r.Proc().Sleep(2 * sim.Microsecond)
-				wn.Unlock(r, 0, LockExclusive)
-			}
+		if err := w.Launch(func(r *Rank) {
+			w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(wn *Win) {
+				win = wn
+				l := newLocker(wn, r, LockExclusive)
+				repeat(20, func(_ int, next func()) {
+					l.Lock(func() { after(r, 2*sim.Microsecond, func() { l.Unlock(next) }) })
+				}, nil)
+			})
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -501,22 +320,24 @@ func TestLockAttemptsGrowUnderContention(t *testing.T) {
 }
 
 func TestRemoteAtomicSlowerThanLocal(t *testing.T) {
-	_, w := newTestWorld(t, 2, 2)
+	eng, w := newTestWorld(t, 2, 2)
 	var localT, remoteT sim.Time
-	err := w.Run(func(r *Rank) {
-		win := w.Comm().WinAllocate(r, "x", 1)
-		w.Comm().Barrier(r)
-		if r.Rank() == 1 { // same node as target rank 0
-			t0 := r.Now()
-			win.FetchAndOp(r, 0, 0, 1)
-			localT = r.Now() - t0
-		}
-		if r.Rank() == 2 { // different node
-			r.Proc().Sleep(sim.Millisecond) // avoid port interference
-			t0 := r.Now()
-			win.FetchAndOp(r, 0, 0, 1)
-			remoteT = r.Now() - t0
-		}
+	err := w.Launch(func(r *Rank) {
+		w.Comm().WinAllocateCont(r, "x", 1, func(win *Win) {
+			fop := win.NewFetchAndOpCont(r)
+			timed := func(out *sim.Time) {
+				t0 := eng.Now()
+				fop(0, 0, 1, func(int64) { *out = eng.Now() - t0 })
+			}
+			w.Comm().BarrierCont(r, func() {
+				switch r.Rank() {
+				case 1: // same node as target rank 0
+					timed(&localT)
+				case 2: // different node; wait out port interference
+					after(r, sim.Millisecond, func() { timed(&remoteT) })
+				}
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,42 +353,43 @@ func TestRemoteAtomicSlowerThanLocal(t *testing.T) {
 func TestSharedWindowDirectAccess(t *testing.T) {
 	_, w := newTestWorld(t, 1, 2)
 	var got int64
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "s", 4)
-		if r.Rank() == 0 {
-			win.SharedWrite(r, 1, 3, 77)
-			win.Sync(r)
-		}
-		nc.Barrier(r)
-		if r.Rank() == 1 {
-			win.Sync(r)
-			got = win.SharedRead(r, 1, 3)
-		}
+		nc.WinAllocateSharedCont(r, "s", 4, func(win *Win) {
+			if r.Rank() == 0 {
+				win.Shared(r, 1)[3] = 77
+			}
+			nc.BarrierCont(r, func() {
+				if r.Rank() == 1 {
+					got = win.Shared(r, 1)[3]
+				}
+			})
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != 77 {
-		t.Fatalf("SharedRead = %d, want 77", got)
+		t.Fatalf("shared read = %d, want 77", got)
 	}
 }
 
 func TestWinAllocateSharedRejectsMultiNodeComm(t *testing.T) {
 	_, w := newTestWorld(t, 2, 1)
 	panicked := 0
-	err := w.Run(func(r *Rank) {
+	err := w.Launch(func(r *Rank) {
 		defer func() {
 			if recover() != nil {
 				panicked++
 			}
 		}()
-		w.Comm().WinAllocateShared(r, "bad", 1)
+		w.Comm().WinAllocateSharedCont(r, "bad", 1, func(*Win) {})
 	})
-	// Engine may report deadlock since ranks bail out of the collective.
-	_ = err
-	if panicked == 0 {
-		t.Fatal("WinAllocateShared on a multi-node communicator did not panic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if panicked != 2 {
+		t.Fatalf("%d ranks panicked, want both: a shared window on a multi-node communicator", panicked)
 	}
 }
 
@@ -579,10 +401,9 @@ func TestComputeScalesWithNodeSpeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	times := make([]sim.Time, 2)
-	if err := w.Run(func(r *Rank) {
-		t0 := r.Now()
-		r.Compute(1)
-		times[r.Rank()] = r.Now() - t0
+	if err := w.Launch(func(r *Rank) {
+		t0 := eng.Now()
+		compute(r, 1, func() { times[r.Rank()] = eng.Now() - t0 })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -603,62 +424,42 @@ func TestDeterministicEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		var last sim.Time
-		if err := w.Run(func(r *Rank) {
-			win := w.Comm().WinAllocate(r, "ctr", 1)
-			for {
-				tkt := win.FetchAndOp(r, 0, 0, 1)
-				if tkt >= 200 {
-					break
+		if err := w.Launch(func(r *Rank) {
+			w.Comm().WinAllocateCont(r, "ctr", 1, func(win *Win) {
+				fop := win.NewFetchAndOpCont(r)
+				var take func()
+				take = func() {
+					fop(0, 0, 1, func(tkt int64) {
+						if tkt >= 200 {
+							w.Comm().BarrierCont(r, func() { last = eng.Now() })
+							return
+						}
+						compute(r, sim.Time(tkt%7+1)*10*sim.Microsecond, take)
+					})
 				}
-				r.Compute(sim.Time(tkt%7+1) * 10 * sim.Microsecond)
-			}
-			w.Comm().Barrier(r)
-			last = r.Now()
+				take()
+			})
 		}); err != nil {
 			t.Fatal(err)
 		}
 		return last
 	}
 	a, b := run(), run()
-	if a != b {
+	if a == 0 || a != b {
 		t.Fatalf("two identical runs finished at %v and %v", a, b)
 	}
 }
 
 func BenchmarkFetchAndOpLocal(b *testing.B) {
-	eng := sim.NewEngine(1)
-	cfg := cluster.MiniHPC(1)
-	w, _ := NewWorld(eng, &cfg, 2)
-	w.Start(func(r *Rank) {
-		nc := w.SplitTypeShared(r)
-		win := nc.WinAllocateShared(r, "b", 1)
-		for i := 0; i < b.N; i++ {
-			win.FetchAndOp(r, 0, 0, 1)
-		}
-	})
+	_, w := newTestWorld(b, 1, 2)
 	b.ResetTimer()
-	if err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkSendRecvPingPong(b *testing.B) {
-	eng := sim.NewEngine(1)
-	cfg := cluster.MiniHPC(2)
-	w, _ := NewWorld(eng, &cfg, 1)
-	w.Start(func(r *Rank) {
-		for i := 0; i < b.N; i++ {
-			if r.Rank() == 0 {
-				r.Send(1, 0, 8, nil)
-				r.Recv(1, 0)
-			} else {
-				r.Recv(0, 0)
-				r.Send(0, 0, 8, nil)
-			}
-		}
+	err := w.Launch(func(r *Rank) {
+		w.SplitTypeShared(r).WinAllocateSharedCont(r, "b", 1, func(win *Win) {
+			fop := win.NewFetchAndOpCont(r)
+			repeat(b.N, func(_ int, next func()) { fop(0, 0, 1, func(int64) { next() }) }, nil)
+		})
 	})
-	b.ResetTimer()
-	if err := eng.Run(); err != nil {
+	if err != nil {
 		b.Fatal(err)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // within the target's segment.
 //
 // Passive-target synchronization follows the lock-polling protocol the paper
-// discusses (citing Zhao et al.): Lock is acquire-by-retry, every attempt is
+// discusses (citing Zhao et al.): locking is acquire-by-retry, every attempt is
 // an RMA round serviced serially by the target node's window port, and
 // failed attempts back off for the cluster's PollInterval. Under contention
 // the attempt storm both delays the holder's own operations and stretches
@@ -67,7 +67,7 @@ type lockState struct {
 // keeps the *arithmetic* of every retry (each one still consumes port
 // service time, delays other requests, and bumps the attempt counters —
 // that feedback is the paper's SS pathology) but performs it lazily: the
-// waiting process parks, and its pending retries are replayed in virtual-
+// waiter registers a poller, and its pending retries are replayed in virtual-
 // timestamp order whenever something observes the port (a real RMA arrival)
 // or the lock state (an unlock, or the wake chain below). Timing, attempt
 // counts and acquisition order are identical to the literal protocol; only
@@ -248,21 +248,17 @@ func (pt *rmaPort) popRoot() {
 	}
 }
 
-// poller is one parked Win.Lock caller whose retries are simulated
-// arithmetically. It alternates between two phases: the next attempt
-// *arriving* at the port (inService false, at = arrival time) and the
-// in-flight attempt *completing and checking* the lock word (inService
+// poller is one waiting lock caller (see NewLockCont) whose retries are
+// simulated arithmetically. It alternates between two phases: the next
+// attempt *arriving* at the port (inService false, at = arrival time) and
+// the in-flight attempt *completing and checking* the lock word (inService
 // true, at = check time).
 type poller struct {
 	win      *Win
 	target   int
 	lockType int
-	proc     *sim.Proc
-	remote   bool
-	// cont, when non-nil, is run at the grant position instead of resuming
-	// proc there (continuation-style locking, see LockCont). The event it
-	// runs in has exactly the (time, scheduling-time) key the literal
-	// winner's resume would have had.
+	// cont runs at the grant position, in an event with exactly the
+	// (time, scheduling-time) key the literal winner's check would have had.
 	cont func()
 
 	inService bool
@@ -274,7 +270,6 @@ type poller struct {
 	// real same-instant arrival.
 	born     sim.Time
 	attempts int
-	granted  bool
 	reg      uint32 // registration tie-break, assigned by pushPoller
 }
 
@@ -303,7 +298,6 @@ func (pl *poller) canSucceed(ls *lockState) bool {
 func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advanced bool) {
 	pt := w.memPort[node]
 	mem := &w.cfg.Mem
-	net := &w.cfg.Net
 	for pt.pending() {
 		// Bail out on the root KEY alone — the hot exit skips the poller
 		// indirection entirely.
@@ -315,29 +309,17 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 		advanced = true
 		if !best.inService {
 			// The retry reaches the port: consume serial service exactly as
-			// the literal rmaRound would, then wait for the check moment.
-			svc := mem.LockAttempt
-			if best.remote {
-				svc += net.PortService
-			}
-			done := pt.srv.ServeAsync(best.at, svc)
+			// the literal attempt would, then wait for the check moment.
+			done := pt.srv.ServeAsync(best.at, mem.LockAttempt)
 			best.win.LockAttempts++
 			best.attempts++
 			best.inService = true
-			// Mirror the literal Serve bit-for-bit: the waiting process
-			// would have slept (done − now) from now, so its wake-up is
+			// Mirror the literal service wake-up bit for bit: the attempt
+			// would have waited (done − at) from at, so its check is at
 			// at + (done − at), which floating point does not guarantee to
-			// equal done. The check event's scheduling time is the Serve
-			// wake-up for a local rank; a remote rank checks after a second
-			// latency sleep scheduled at that wake-up.
-			completion := best.at + (done - best.at)
-			if best.remote {
-				best.born = completion
-				best.at = completion + net.Latency
-			} else {
-				best.born = best.at
-				best.at = completion
-			}
+			// equal done, in the position scheduled at the arrival.
+			best.born = best.at
+			best.at = best.at + (done - best.at)
 			pt.fixRootTo(best.at, best.born)
 			continue
 		}
@@ -350,7 +332,6 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 				ls.readers++
 			}
 			best.win.LockAcquisitions++
-			best.granted = true
 			pt.popRoot()
 			// Resume the winner at its check time, in the position the
 			// literal check event (scheduled at the attempt's arrival)
@@ -366,29 +347,18 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// re-arms an identical one). Collect the continuation instead;
 			// the wake runs it after reconciliation, where eng.Now() and
 			// EventScheduledAt() already equal the grant position.
-			if best.cont != nil {
-				if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
-					w.inlineGrants = append(w.inlineGrants, best.cont)
-				} else {
-					w.eng.ScheduleAsOf(best.at, best.born, best.cont)
-				}
+			if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
+				w.inlineGrants = append(w.inlineGrants, best.cont)
 			} else {
-				best.proc.UnparkAsOf(best.at, best.born)
+				w.eng.ScheduleAsOf(best.at, best.born, best.cont)
 			}
 			continue
 		}
-		// Failed: back off PollInterval and retry. A local rank's next
-		// arrival is the back-off sleep's wake-up (scheduled at the check);
-		// a remote rank pays a further wire-latency sleep scheduled at that
-		// wake-up before its attempt reaches the port.
+		// Failed: back off PollInterval and retry. The next arrival is the
+		// back-off's wake-up, scheduled at the check.
 		best.inService = false
-		if best.remote {
-			best.born = best.at + mem.PollInterval
-			best.at = best.born + net.Latency
-		} else {
-			best.born = best.at
-			best.at += mem.PollInterval
-		}
+		best.born = best.at
+		best.at += mem.PollInterval
 		pt.fixRootTo(best.at, best.born)
 	}
 	return advanced
@@ -569,23 +539,8 @@ func (w *World) pooledWin(size, count int) *Win {
 	return nil
 }
 
-func (c *Comm) allocateWin(r *Rank, name string, count int, shared bool) *Win {
-	if shared && c.spansNodes() != 1 {
-		panic(fmt.Sprintf("mpi: WinAllocateShared on communicator %q spanning %d nodes", c.name, c.spansNodes()))
-	}
-	st := c.enter(r, "winalloc")
-	if st.payload == nil {
-		st.payload = winAllocPayload{win: c.newWin(name, count, shared)}
-	}
-	win := st.payload.(winAllocPayload).win
-	c.arriveAndWait(r, st, c.latencyCost(2, 0)) // window creation synchronizes
-	c.leave(r, st)
-	return win
-}
-
-// allocateWinCont is allocateWin for goroutine-free ranks: cont receives the
-// window at the event position where the literal caller resumed from the
-// creation barrier.
+// allocateWinCont collectively creates a window: cont receives it at the
+// event position where a blocking caller resumed from the creation barrier.
 func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, cont func(*Win)) {
 	if shared && c.spansNodes() != 1 {
 		panic(fmt.Sprintf("mpi: WinAllocateShared on communicator %q spanning %d nodes", c.name, c.spansNodes()))
@@ -601,27 +556,18 @@ func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, con
 	})
 }
 
-// WinAllocateCont is the goroutine-free WinAllocate: the calling rank must
-// be a machine rank (no simulated process), and cont runs holding the new
-// window at the literal post-creation-barrier event position.
+// WinAllocateCont collectively creates a window with count int64 words per
+// rank (MPI_Win_allocate); cont runs holding the new window at the
+// post-creation-barrier event position.
 func (c *Comm) WinAllocateCont(r *Rank, name string, count int, cont func(*Win)) {
 	c.allocateWinCont(r, name, count, false, cont)
 }
 
-// WinAllocateSharedCont is the goroutine-free WinAllocateShared.
+// WinAllocateSharedCont collectively creates an MPI-3 shared-memory window
+// (MPI_Win_allocate_shared); the communicator must live on a single node
+// (use SplitTypeShared).
 func (c *Comm) WinAllocateSharedCont(r *Rank, name string, count int, cont func(*Win)) {
 	c.allocateWinCont(r, name, count, true, cont)
-}
-
-// WinAllocate collectively creates a window with count int64 words per rank.
-func (c *Comm) WinAllocate(r *Rank, name string, count int) *Win {
-	return c.allocateWin(r, name, count, false)
-}
-
-// WinAllocateShared collectively creates an MPI-3 shared-memory window; the
-// communicator must live on a single node (use SplitTypeShared).
-func (c *Comm) WinAllocateShared(r *Rank, name string, count int) *Win {
-	return c.allocateWin(r, name, count, true)
 }
 
 // Name returns the window's debug name.
@@ -635,192 +581,15 @@ func (w *Win) targetNode(target int) int {
 	return w.world.ranks[w.comm.ranks[target]].node
 }
 
-// rmaRound performs one RMA operation round from r to the target's host
-// port: wire latency both ways when the target is remote, and serial
-// service at the port either way. It returns after the op completed.
-func (w *Win) rmaRound(r *Rank, target int, service sim.Time) {
-	w.rmaRoundFrom(r.proc, r.node, target, service)
-}
-
-// rmaRoundFrom is rmaRound for an arbitrary simulated process (e.g. an
-// OpenMP thread making MPI calls under MPI_THREAD_MULTIPLE).
-func (w *Win) rmaRoundFrom(p *sim.Proc, fromNode, target int, service sim.Time) {
-	wld := w.world
-	tn := w.targetNode(target)
-	pt := wld.memPort[tn]
-	if tn == fromNode {
-		if pt.pending() {
-			wld.advancePort(tn, p.Now(), wld.eng.EventScheduledAt(), false)
-		}
-		pt.srv.Serve(p, service)
-		return
-	}
-	net := &wld.cfg.Net
-	p.Sleep(net.Latency)
-	if pt.pending() {
-		wld.advancePort(tn, p.Now(), wld.eng.EventScheduledAt(), false)
-	}
-	pt.srv.Serve(p, service+net.PortService)
-	p.Sleep(net.Latency)
-}
-
-// FetchAndOpFrom is FetchAndOp issued from an arbitrary simulated process
-// pinned to fromNode. It models threads calling MPI under
-// MPI_THREAD_MULTIPLE (used by the nowait extension executor).
-func (w *Win) FetchAndOpFrom(p *sim.Proc, fromNode, target, offset int, delta int64) int64 {
-	w.AtomicOps++
-	w.rmaRoundFrom(p, fromNode, target, w.world.cfg.Mem.SharedWinOp)
-	old := w.data[target][offset]
-	w.data[target][offset] = old + delta
-	return old
-}
-
-// Lock acquires the window lock on target for r, with MPI semantics of
-// MPI_Win_lock: exclusive locks conflict with everything, shared locks only
-// with exclusive ones. It returns the number of attempts that were needed;
-// the first attempt can succeed, so the minimum is 1.
-func (w *Win) Lock(r *Rank, target int, lockType int) int {
-	mem := &w.world.cfg.Mem
-	// First attempt is taken literally: under no contention it succeeds and
-	// costs exactly one RMA round, as in the original protocol.
-	w.LockAttempts++
-	w.rmaRound(r, target, mem.LockAttempt)
-	ls := &w.locks[target]
-	if lockType == LockExclusive {
-		if !ls.excl && ls.readers == 0 {
-			ls.excl = true
-			w.LockAcquisitions++
-			return 1
-		}
-	} else {
-		if !ls.excl {
-			ls.readers++
-			w.LockAcquisitions++
-			return 1
-		}
-	}
-	// Contended: hand the retry loop to the port's coalesced poller
-	// machinery and park. Every virtual retry still pays the same port
-	// service and PollInterval back-off as the literal loop; it is merely
-	// replayed lazily. The process resumes exactly at the virtual time its
-	// winning attempt's check would have completed.
-	tn := w.targetNode(target)
-	remote := tn != r.node
-	born := r.Now()
-	next := born + mem.PollInterval
-	if remote {
-		// The literal remote retry sleeps PollInterval, then a wire
-		// latency scheduled at that wake-up; the arrival event's
-		// scheduling time is the back-off expiry.
-		born = next
-		next += w.world.cfg.Net.Latency
-	}
-	pl := r.pooledPoller()
-	*pl = poller{
-		win: w, target: target, lockType: lockType,
-		proc: r.proc, remote: remote,
-		at: next, born: born, attempts: 1,
-	}
-	pt := w.world.memPort[tn]
-	pt.pushPoller(pl)
-	r.proc.Park()
-	if !pl.granted {
-		panic(fmt.Sprintf("mpi: lock poller on %s[%d] resumed without grant", w.name, target))
-	}
-	return pl.attempts
-}
-
-// Unlock releases r's lock on target. The release is itself an RMA round
-// (it flushes pending operations), so it competes with poll attempts.
-func (w *Win) Unlock(r *Rank, target int, lockType int) {
-	w.locks[target].relsInFlight++
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp)
-	tn := w.targetNode(target)
-	// Resolve every poll decision up to the release instant against the
-	// still-held state: retries whose check lands before the release (in
-	// (time, scheduling-order) event order) must fail, exactly as they
-	// would have in the literal protocol.
-	if w.world.memPort[tn].pending() {
-		w.world.advancePort(tn, r.proc.Now(), w.world.eng.EventScheduledAt(), false)
-	}
-	ls := &w.locks[target]
-	if lockType == LockExclusive {
-		if !ls.excl {
-			panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.excl = false
-	} else {
-		if ls.readers <= 0 {
-			panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.readers--
-	}
-	ls.relsInFlight--
-	// The lock may now be acquirable: arm the wake chain so the next poll
-	// decision fires at its exact virtual time.
-	w.world.reconcilePort(tn)
-}
-
-// UnlockAsOf is Unlock for a caller that is still at an earlier instant of
-// its critical section: arrival names the virtual time the unlock's RMA
-// round reaches the port and born the scheduling position of the literal
-// pre-arrival wake-up (the last sleep of the caller's critical-section
-// chain). The caller parks; the arrival half (pre-release poll replay plus
-// port service) runs in an event at the exact position the literal caller
-// occupied, and the caller resumes precisely at the service completion —
-// where the literal Serve wake-up fired — to apply the release. Every
-// externally visible action (poll replay, port-queue arrival, lock-word
-// mutation, wake-chain arming) happens at its literal (time, position), so
-// runs are byte-identical to Sync/Sleep/Unlock chains; only the caller's
-// intermediate wake-ups disappear. Shared (node-local) windows only.
-func (w *Win) UnlockAsOf(r *Rank, target, lockType int, arrival, born sim.Time) {
-	wld := w.world
-	tn := w.targetNode(target)
-	if tn != r.node {
-		panic(fmt.Sprintf("mpi: UnlockAsOf on %s[%d] from another node", w.name, target))
-	}
-	pt := wld.memPort[tn]
-	eng := wld.eng
-	w.locks[target].relsInFlight++
-	eng.ScheduleAsOf(arrival, born, func() {
-		if pt.pending() {
-			wld.advancePort(tn, arrival, eng.EventScheduledAt(), false)
-		}
-		done := pt.srv.ServeAsync(arrival, wld.cfg.Mem.SharedWinOp)
-		// Mirror Serve's wake arithmetic bit for bit (see advancePort).
-		r.proc.UnparkAsOf(arrival+(done-arrival), arrival)
-	})
-	r.proc.Park()
-	// The release half runs in the wake event, exactly as the literal
-	// Unlock continuation did after its Serve returned.
-	if pt.pending() {
-		wld.advancePort(tn, r.proc.Now(), eng.EventScheduledAt(), false)
-	}
-	ls := &w.locks[target]
-	if lockType == LockExclusive {
-		if !ls.excl {
-			panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.excl = false
-	} else {
-		if ls.readers <= 0 {
-			panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, target))
-		}
-		ls.readers--
-	}
-	ls.relsInFlight--
-	wld.reconcilePort(tn)
-}
-
-// NewLockCont returns a reusable continuation-style Lock issuer for a
-// node-local window. Calling the issuer performs the literal first
-// attempt's arrival (poll replay plus port service reservation) at the
-// current instant and arranges for cont to run, holding the lock, in an
-// event at the position of the literal check — where Lock's caller would
-// have resumed. Under contention the retry loop runs through the same
-// coalesced poller machinery and cont fires at the exact grant position.
-// The caller must park (or otherwise yield) after each issue; the issuer
-// and its closures are allocated once, so steady-state issues are
+// NewLockCont returns a reusable MPI_Win_lock issuer for a node-local
+// window. Calling the issuer performs the literal first attempt's arrival
+// (poll replay plus port service reservation) at the current instant and
+// arranges for cont to run, holding the lock, in an event at the position of
+// the literal check — where a blocking caller would have resumed. Under
+// contention the retry loop runs through the coalesced poller machinery and
+// cont fires at the exact grant position. The issue must be the last action
+// of the calling event (it may run cont inline, see sim.Engine.AbsorbAsOf);
+// the issuer and its closures are allocated once, so steady-state issues are
 // allocation-free.
 func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	wld := w.world
@@ -854,8 +623,7 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 		born := eng.Now()
 		pl := r.pooledPoller()
 		*pl = poller{
-			win: w, target: target, lockType: lockType,
-			proc: r.proc, cont: cont,
+			win: w, target: target, lockType: lockType, cont: cont,
 			at: born + mem.PollInterval, born: born, attempts: 1,
 		}
 		pt.pushPoller(pl)
@@ -882,8 +650,7 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 				(ls.excl || (lockType == LockExclusive && ls.readers > 0)) {
 				pl := r.pooledPoller()
 				*pl = poller{
-					win: w, target: target, lockType: lockType,
-					proc: r.proc, cont: cont,
+					win: w, target: target, lockType: lockType, cont: cont,
 					at: chk + mem.PollInterval, born: chk, attempts: 1,
 				}
 				pt.pushPoller(pl)
@@ -895,13 +662,15 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	}
 }
 
-// NewUnlockCont returns a reusable continuation-style unlock issuer:
-// issue(arrival, born) runs the unlock's arrival half (poll replay, port
-// service) in an event at the literal pre-arrival wake position, the
-// release half at the literal service completion, and cont(release) inline
-// right after the release — exactly where the literal Unlock caller
-// resumed — so everything cont schedules gets the same relative order. At
-// most one unlock may be in flight per issuer; the caller parks meanwhile.
+// NewUnlockCont returns a reusable MPI_Win_unlock issuer: issue(arrival,
+// born) runs the unlock's arrival half (poll replay, port service) in an
+// event at (arrival, born) — the caller's pre-arrival wake position, which
+// lets a caller fold the last steps of its critical section into the
+// issue — the release half at the service completion, and cont(release)
+// inline right after the release, exactly where a blocking caller resumed,
+// so everything cont schedules gets the same relative order. The release is
+// itself an RMA round (it flushes pending operations), so it competes with
+// poll attempts at the port. At most one unlock may be in flight per issuer.
 func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim.Time)) func(arrival, born sim.Time) {
 	wld := w.world
 	tn := w.targetNode(target)
@@ -946,18 +715,17 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 	}
 }
 
-// NewFetchAndOpCont returns a reusable event-driven MPI_Fetch_and_op issuer
-// on w for rank r: issue(target, offset, delta, cont) performs the literal
-// rmaRound — wire latency both ways when the target is remote, poll replay
-// and serial service at the target port either way — entirely in engine
-// events at the exact (time, scheduling-time) positions the blocking
-// FetchAndOp's sleeps occupied, then applies the read-modify-write and runs
-// cont(old) inline at the completion event, where the literal caller
-// resumed. At most one operation may be in flight per issuer; the issuer
-// and its closures are allocated once, so steady-state issues allocate
-// nothing. The caller must already be executing inside an engine event (a
-// machine rank), so the pre-service poll replay sees the same
-// EventScheduledAt as the literal call site.
+// NewFetchAndOpCont returns a reusable MPI_Fetch_and_op (MPI_SUM) issuer on
+// w for requests from r's node: issue(target, offset, delta, cont) performs
+// one RMA round — wire latency both ways when the target is remote, poll
+// replay and serial service at the target port either way — in engine
+// events at the exact (time, scheduling-time) positions a blocking caller's
+// waits occupied, then atomically adds delta to the word and runs cont(old)
+// inline at the completion event, where that caller resumed. With delta 0
+// it is an atomic read (MPI_NO_OP). The issue must be the last action of
+// the calling event; at most one operation may be in flight per issuer; the
+// issuer and its closures are allocated once, so steady-state issues
+// allocate nothing.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
 	wld := w.world
 	eng := wld.eng
@@ -1004,85 +772,13 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 	}
 }
 
-// FetchAndOp atomically adds delta to the word at (target, offset) and
-// returns its previous value — MPI_Fetch_and_op with MPI_SUM. With delta 0
-// it is an atomic read (MPI_NO_OP).
-func (w *Win) FetchAndOp(r *Rank, target, offset int, delta int64) int64 {
-	w.AtomicOps++
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp)
-	old := w.data[target][offset]
-	w.data[target][offset] = old + delta
-	return old
-}
-
-// CompareAndSwap atomically replaces the word at (target, offset) with
-// replace if it equals compare, returning the previous value.
-func (w *Win) CompareAndSwap(r *Rank, target, offset int, compare, replace int64) int64 {
-	w.AtomicOps++
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp)
-	old := w.data[target][offset]
-	if old == compare {
-		w.data[target][offset] = replace
-	}
-	return old
-}
-
-// Get copies n words starting at (target, offset) into a fresh slice.
-func (w *Win) Get(r *Rank, target, offset, n int) []int64 {
-	bytes := float64(8 * n)
-	var bw float64
-	if w.targetNode(target) == r.node {
-		bw = w.world.cfg.Mem.CopyBandwidth
-	} else {
-		bw = w.world.cfg.Net.Bandwidth
-	}
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp+sim.Time(bytes/bw))
-	out := make([]int64, n)
-	copy(out, w.data[target][offset:offset+n])
-	return out
-}
-
-// Put copies vals into the target segment starting at offset.
-func (w *Win) Put(r *Rank, target, offset int, vals []int64) {
-	bytes := float64(8 * len(vals))
-	var bw float64
-	if w.targetNode(target) == r.node {
-		bw = w.world.cfg.Mem.CopyBandwidth
-	} else {
-		bw = w.world.cfg.Net.Bandwidth
-	}
-	w.rmaRound(r, target, w.world.cfg.Mem.SharedWinOp+sim.Time(bytes/bw))
-	copy(w.data[target][offset:], vals)
-}
-
-// Sync models MPI_Win_sync: the memory-barrier cost that shared-window
-// algorithms pay to publish or observe direct stores.
-func (w *Win) Sync(r *Rank) {
-	r.proc.Sleep(w.world.cfg.Mem.WinSync)
-}
-
 // Shared returns the target segment of a shared window for direct
-// load/store access, validating locality once. Hot executor loops index it
-// instead of paying the per-access checks of SharedRead/SharedWrite; the
-// visibility discipline (Sync, or a lock held across the accesses) remains
-// the caller's responsibility, as in MPI-3.
+// load/store access, validating locality once. The visibility discipline (a
+// lock held across the accesses, or a synchronizing collective) remains the
+// caller's responsibility, as in MPI-3.
 func (w *Win) Shared(r *Rank, target int) []int64 {
 	w.checkShared(r, target)
 	return w.data[target]
-}
-
-// SharedRead performs a direct load from a shared window. Only legal on
-// shared windows for ranks on the hosting node; visibility discipline
-// (Sync) is the caller's responsibility, as in MPI-3.
-func (w *Win) SharedRead(r *Rank, target, offset int) int64 {
-	w.checkShared(r, target)
-	return w.data[target][offset]
-}
-
-// SharedWrite performs a direct store into a shared window.
-func (w *Win) SharedWrite(r *Rank, target, offset int, val int64) {
-	w.checkShared(r, target)
-	w.data[target][offset] = val
 }
 
 func (w *Win) checkShared(r *Rank, target int) {

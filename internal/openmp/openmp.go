@@ -15,7 +15,6 @@ package openmp
 
 import (
 	"fmt"
-	"math"
 
 	"repro/dls"
 	"repro/internal/cluster"
@@ -82,9 +81,10 @@ func MapTechnique(t dls.Technique) (ScheduleKind, error) {
 	return 0, fmt.Errorf("openmp: no schedule clause for technique %v", t)
 }
 
-// Team is a thread team pinned to one node. Thread 0 is the calling
-// (master) process; the remaining threads are simulated processes spawned
-// per worksharing loop, as fork–join semantics dictate.
+// Team is a thread team pinned to one node. Thread 0 is the master — the
+// calling MPI rank — and the remaining threads are forked per worksharing
+// loop and joined at its end, as fork–join semantics dictate. Every thread
+// is a continuation machine driven by the team's engine.
 type Team struct {
 	eng     *sim.Engine
 	cl      *cluster.Config
@@ -157,159 +157,75 @@ type loopState struct {
 	cyclicPos      []int  // static,k: next strip start per thread
 }
 
-// ParallelFor executes f on the team. The caller's process acts as thread
-// 0; threads 1..T−1 are spawned for the loop and joined at its end (the
-// implicit barrier), unless NoWait is set.
-func (t *Team) ParallelFor(master *sim.Proc, f For) ForResult {
+// loop is one running worksharing loop.
+type loop struct {
+	t      *Team
+	f      For
+	st     loopState
+	res    ForResult
+	ndone  int  // threads that passed the implicit barrier
+	chunks int  // ranges executed so far
+	joined bool // the master waits at the join for the other threads
+	cont   func(ForResult)
+}
+
+// ParallelFor runs worksharing loop f on the team, starting from inside the
+// master's current engine event, and calls cont with the loop's result
+// where the master leaves the loop: at the implicit barrier's release, or,
+// under NoWait, as soon as its own share is done. The master pays the fork
+// overhead, then threads 1..T−1 start as continuation machines and thread 0
+// runs the same chain inline in the master's events. ParallelFor may run
+// the fork inline (see sim.Engine.AbsorbAsOf), so it must be the last
+// action of the calling event.
+func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 	if f.N < 0 {
 		panic("openmp: negative loop size")
 	}
 	if f.RangeCost == nil {
 		panic("openmp: For.RangeCost is required")
 	}
-	T := t.threads
-	res := ForResult{ThreadFinish: make([]sim.Time, T)}
-	st := &loopState{}
+	lp := &loop{t: t, f: f, cont: cont, res: ForResult{ThreadFinish: make([]sim.Time, t.threads)}}
 	switch f.Schedule {
 	case ScheduleTSS:
-		st.sched = dls.MustNew(dls.TSS, dls.Params{N: f.N, P: T})
+		lp.st.sched = dls.MustNew(dls.TSS, dls.Params{N: f.N, P: t.threads})
 	case ScheduleFAC2:
-		st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: T})
+		lp.st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: t.threads})
 	}
-
-	// Fork overhead on the master.
-	master.Sleep(t.ForkJoin)
-	t.Loops++
-
-	done := make([]bool, T)
-	var joinQueue sim.WaitQueue
-	chunks := 0
-
-	body := func(p *sim.Proc, tid int) {
-		if f.Schedule == ScheduleStatic {
-			// Precomputed split, no chunk-grab port: stay process-driven.
-			for {
-				a, b := t.grab(p, f, st, tid)
-				if a >= b {
-					break
-				}
-				chunks++
-				start := p.Now()
-				d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, t.eng.Rand())
-				p.Sleep(d)
-				if f.Visit != nil {
-					f.Visit(tid, a, b, start, p.Now())
-				}
-			}
-		} else {
-			// Dynamic-family schedules run fully event-driven: the chunk
-			// grab's shared-state update, cost lookup and noise draw happen
-			// in an event at the exact position of the literal post-serve
-			// wake-up, chunk completion (visit plus next grab) in an event
-			// at the literal execution wake-up, and the thread's goroutine
-			// parks until the loop is exhausted. Event keys, state updates
-			// and RNG draw order are identical to the literal Serve/Sleep
-			// loop.
-			var a, b int
-			var start sim.Time
-			eng := t.eng
-			var issueGrab func()
-			execEnd := func() {
-				chunks++
-				if f.Visit != nil {
-					f.Visit(tid, a, b, start, eng.Now())
-				}
-				issueGrab()
-			}
-			grabbed := func() {
-				a, b = t.take(f, st, tid)
-				now := eng.Now()
-				if a >= b {
-					p.UnparkAsOf(now, now)
-					return
-				}
-				start = now
-				d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-				eng.ScheduleAsOf(start+d, start, execEnd)
-			}
-			issueGrab = func() {
-				now := eng.Now()
-				fin := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
-				eng.ScheduleAsOf(now+(fin-now), now, grabbed)
-			}
-			issueGrab()
-			p.Park()
-		}
-		p.Sleep(t.Barrier) // barrier signalling cost
-		res.ThreadFinish[tid] = p.Now()
-		done[tid] = true
-	}
-
-	// Worker threads are goroutine-free state machines: each one starts in
-	// an engine event at the exact position its spawn resume occupied, its
-	// grabs and chunk completions run at the literal event keys of body's
-	// process-driven loop, and its retirement (barrier signalling, finish
-	// bookkeeping, master wake-up) fires where the literal thread's final
-	// wake-ups did. A worksharing loop therefore spawns no goroutines at
-	// all; only the master — the calling MPI rank — is a real process.
-	for tid := 1; tid < T; tid++ {
-		t.startThreadMachine(f, st, res.ThreadFinish, done, &joinQueue, &chunks, tid)
-	}
-	body(master, 0)
-
-	if !f.NoWait {
-		for !allDone(done) {
-			joinQueue.Wait(master)
-		}
-	}
-	for _, fin := range res.ThreadFinish {
-		if fin > res.MaxFinish {
-			res.MaxFinish = fin
-		}
-	}
-	if !f.NoWait {
-		for _, fin := range res.ThreadFinish {
-			res.BarrierWait += res.MaxFinish - fin
-		}
-		// Join: master leaves at the barrier-release time.
-		if res.MaxFinish > master.Now() {
-			master.Sleep(res.MaxFinish - master.Now())
-		}
-	}
-	t.BarrierWait += res.BarrierWait
-	t.Chunks += chunks
-	res.Chunks = chunks
-	return res
+	now := t.eng.Now()
+	t.eng.AbsorbAsOf(now+t.ForkJoin, now, lp.fork)
 }
 
-// startThreadMachine builds the goroutine-free worker thread tid of one
-// worksharing loop and schedules its start in an engine event at the current
-// instant — the exact position the literal thread's spawn resume occupied.
-// Every subsequent step (grab service completion, chunk completion, the
-// barrier-signalling sleep, finish bookkeeping and the master wake-up) fires
-// at the literal (time, scheduling-time) event keys of the process-driven
-// thread body, so shared loop state, noise draws and visit order are
-// byte-identical; only the goroutine disappears.
-func (t *Team) startThreadMachine(f For, st *loopState, finish []sim.Time, done []bool, join *sim.WaitQueue, chunks *int, tid int) {
-	eng := t.eng
+// fork runs at the end of the master's fork overhead: it starts the worker
+// threads, each in an event at the current instant, in thread order, and
+// then runs thread 0's first step inline.
+func (lp *loop) fork() {
+	lp.t.Loops++
+	for tid := 1; tid < lp.t.threads; tid++ {
+		lp.startThread(tid)
+	}
+	lp.startThread(0)
+}
+
+// startThread builds thread tid's machine. Under static schedules a step
+// takes the thread's next precomputed range and schedules its completion,
+// which visits the range and takes the next step; under the dynamic family
+// a grab serves one atomic at the team port, takes a chunk from the shared
+// state at the service completion and schedules the chunk's completion,
+// which visits it and grabs again. Either way the exhausted thread pays the
+// barrier signalling cost and retires.
+func (lp *loop) startThread(tid int) {
+	t, f, eng := lp.t, &lp.f, lp.t.eng
 	var (
 		a, b  int
 		start sim.Time
+		first func()
 	)
-	retire := func() {
-		finish[tid] = eng.Now()
-		done[tid] = true
-		join.WakeAll() // master may be waiting for stragglers
-	}
-	// barrier charges the implicit-barrier signalling cost — the literal
-	// thread's final Sleep — and retires at its wake position.
+	retire := func() { lp.retire(tid) }
 	barrier := func() {
 		now := eng.Now()
 		eng.ScheduleAsOf(now+t.Barrier, now, retire)
 	}
-	now := eng.Now()
 	if f.Schedule == ScheduleStatic {
-		// Precomputed split, no chunk-grab port: one event per strip.
 		var step func()
 		exec := func() {
 			if f.Visit != nil {
@@ -318,91 +234,129 @@ func (t *Team) startThreadMachine(f For, st *loopState, finish []sim.Time, done 
 			step()
 		}
 		step = func() {
-			a, b = t.grab(nil, f, st, tid)
+			a, b = t.staticRange(f, &lp.st, tid)
 			if a >= b {
 				barrier()
 				return
 			}
-			*chunks++
+			lp.chunks++
 			start = eng.Now()
 			d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
 			eng.ScheduleAsOf(start+d, start, exec)
 		}
-		eng.ScheduleAsOf(now, now, step)
+		first = step
+	} else {
+		var issueGrab func()
+		execEnd := func() {
+			lp.chunks++
+			if f.Visit != nil {
+				f.Visit(tid, a, b, start, eng.Now())
+			}
+			issueGrab()
+		}
+		grabbed := func() {
+			a, b = t.take(f, &lp.st, tid)
+			now := eng.Now()
+			if a >= b {
+				eng.ScheduleAsOf(now, now, barrier)
+				return
+			}
+			start = now
+			d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
+			eng.ScheduleAsOf(start+d, start, execEnd)
+		}
+		issueGrab = func() {
+			now := eng.Now()
+			doneAt := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
+			eng.ScheduleAsOf(now+(doneAt-now), now, grabbed)
+		}
+		first = issueGrab
+	}
+	if tid == 0 {
+		first()
 		return
 	}
-	// Dynamic-family: the same event chain the process-driven body built,
-	// with the loop-exhaustion unpark feeding the barrier chain directly.
-	var issueGrab func()
-	execEnd := func() {
-		*chunks++
-		if f.Visit != nil {
-			f.Visit(tid, a, b, start, eng.Now())
-		}
-		issueGrab()
+	now := eng.Now()
+	eng.ScheduleAsOf(now, now, first)
+}
+
+// retire records thread tid passing the implicit barrier. The master then
+// joins: it leaves at once when every thread is done (or under NoWait), and
+// otherwise waits. A worker retiring while the master waits wakes it in an
+// event at the current instant; the woken master re-checks and either
+// leaves or waits again.
+func (lp *loop) retire(tid int) {
+	lp.res.ThreadFinish[tid] = lp.t.eng.Now()
+	lp.ndone++
+	if tid == 0 {
+		lp.join()
+		return
 	}
-	grabbed := func() {
-		a, b = t.take(f, st, tid)
-		now := eng.Now()
-		if a >= b {
-			eng.ScheduleAsOf(now, now, barrier)
+	if lp.joined {
+		lp.joined = false
+		now := lp.t.eng.Now()
+		lp.t.eng.ScheduleAsOf(now, now, lp.join)
+	}
+}
+
+// join runs wherever the master checks the barrier.
+func (lp *loop) join() {
+	if !lp.f.NoWait && lp.ndone < lp.t.threads {
+		lp.joined = true
+		return
+	}
+	res := &lp.res
+	for _, fin := range res.ThreadFinish {
+		if fin > res.MaxFinish {
+			res.MaxFinish = fin
+		}
+	}
+	if !lp.f.NoWait {
+		for _, fin := range res.ThreadFinish {
+			res.BarrierWait += res.MaxFinish - fin
+		}
+		// Join: the master leaves at the barrier-release time.
+		if now := lp.t.eng.Now(); res.MaxFinish > now {
+			lp.t.eng.ScheduleAsOf(now+(res.MaxFinish-now), now, lp.leave)
 			return
 		}
-		start = now
-		d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-		eng.ScheduleAsOf(start+d, start, execEnd)
 	}
-	issueGrab = func() {
-		now := eng.Now()
-		doneAt := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
-		eng.ScheduleAsOf(now+(doneAt-now), now, grabbed)
-	}
-	eng.ScheduleAsOf(now, now, issueGrab)
+	lp.leave()
 }
 
-func allDone(done []bool) bool {
-	for _, d := range done {
-		if !d {
-			return false
-		}
-	}
-	return true
+// leave completes the loop's accounting and hands the result to the master.
+func (lp *loop) leave() {
+	t := lp.t
+	t.BarrierWait += lp.res.BarrierWait
+	t.Chunks += lp.chunks
+	lp.res.Chunks = lp.chunks
+	lp.cont(lp.res)
 }
 
-// grab assigns the next chunk [a, b) to thread tid under f's schedule,
-// charging the appropriate runtime cost. a >= b signals loop exhaustion.
-// Dynamic-family schedules serve the grab's atomic at the team port and
-// apply the shared-state update at the service completion (take); the
-// continuation path in ParallelFor performs the same two halves without
-// waking the thread in between.
-func (t *Team) grab(p *sim.Proc, f For, st *loopState, tid int) (int, int) {
+// staticRange returns thread tid's next range [a, b) under a static
+// schedule: its precomputed contiguous block, or the next strip of static,k.
+// a >= b signals that the thread's share is exhausted. Static schedules
+// have no runtime cost beyond the fork.
+func (t *Team) staticRange(f *For, st *loopState, tid int) (int, int) {
+	if f.Chunk > 0 {
+		// static,k: round-robin strips of k; executed as one merged visit
+		// per strip to bound event counts.
+		return t.staticCyclic(st, f, tid)
+	}
 	T := t.threads
-	switch f.Schedule {
-	case ScheduleStatic:
-		// Precomputed contiguous split; zero runtime cost beyond the fork.
-		if f.Chunk > 0 {
-			// static,k: round-robin strips of k; executed as one merged
-			// visit per strip to bound event counts.
-			return t.staticCyclic(st, f, tid)
-		}
-		if st.assignedStatic == nil {
-			st.assignedStatic = make([]bool, T)
-		}
-		if st.assignedStatic[tid] {
-			return f.N, f.N
-		}
-		st.assignedStatic[tid] = true
-		return f.N * tid / T, f.N * (tid + 1) / T
-	case ScheduleDynamic, ScheduleGuided, ScheduleTSS, ScheduleFAC2, ScheduleRandom:
-		t.atomicPort.Serve(p, t.cl.Mem.LocalAtomic)
-		return t.take(f, st, tid)
+	if st.assignedStatic == nil {
+		st.assignedStatic = make([]bool, T)
 	}
-	panic(fmt.Sprintf("openmp: unknown schedule %v", f.Schedule))
+	if st.assignedStatic[tid] {
+		return f.N, f.N
+	}
+	st.assignedStatic[tid] = true
+	return f.N * tid / T, f.N * (tid + 1) / T
 }
 
 // take is the post-service half of a dynamic-family chunk grab: it reads
 // and updates the shared loop state at the atomic's completion instant.
-func (t *Team) take(f For, st *loopState, tid int) (int, int) {
+func (t *Team) take(f *For, st *loopState, tid int) (int, int) {
 	T := t.threads
 	if st.next >= f.N {
 		return f.N, f.N
@@ -444,7 +398,7 @@ func (t *Team) take(f For, st *loopState, tid int) (int, int) {
 // staticCyclic hands thread tid its full round-robin strip set as one range
 // per call, k iterations at a time in cyclic order. To keep the event count
 // linear in strips (not iterations), each call returns one strip.
-func (t *Team) staticCyclic(st *loopState, f For, tid int) (int, int) {
+func (t *Team) staticCyclic(st *loopState, f *For, tid int) (int, int) {
 	k := f.Chunk
 	T := t.threads
 	if st.cyclicPos == nil {
@@ -467,13 +421,4 @@ func minInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// expectedGuidedSteps is a helper for sizing tests: an upper bound on
-// guided,1 scheduling steps for N iterations on T threads.
-func expectedGuidedSteps(n, threads int) int {
-	if n <= 0 {
-		return 0
-	}
-	return threads*int(math.Ceil(math.Log(float64(n))))*2 + threads + 4
 }

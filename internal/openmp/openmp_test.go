@@ -18,14 +18,47 @@ func runLoop(t *testing.T, threads int, f For) (ForResult, *Team) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, left := runMaster(t, eng, team, f)
+	if !f.NoWait && left != res.MaxFinish {
+		t.Fatalf("master left the loop at %v, barrier released at %v", left, res.MaxFinish)
+	}
+	return res, team
+}
+
+// runMaster runs one loop from a master event at time zero and returns its
+// result and the instant the master left the loop.
+func runMaster(t *testing.T, eng *sim.Engine, team *Team, f For) (ForResult, sim.Time) {
+	t.Helper()
 	var res ForResult
-	eng.Spawn("master", func(p *sim.Proc) {
-		res = team.ParallelFor(p, f)
+	var left sim.Time
+	eng.Schedule(0, func() {
+		team.ParallelFor(f, func(r ForResult) { res, left = r, eng.Now() })
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return res, team
+	return res, left
+}
+
+// runLoops runs n loops back to back from one master.
+func runLoops(t testing.TB, eng *sim.Engine, team *Team, n int, f For) {
+	t.Helper()
+	var next func(ForResult)
+	left := n
+	next = func(ForResult) {
+		if left == 0 {
+			return
+		}
+		left--
+		team.ParallelFor(f, next)
+	}
+	eng.Schedule(0, func() { next(ForResult{}) })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if left != 0 {
+		t.Fatalf("%d loops never ran", left)
+	}
 }
 
 // coverageFor runs the loop and asserts each iteration executes exactly once.
@@ -158,14 +191,13 @@ func TestImplicitBarrierWaits(t *testing.T) {
 		Schedule:  ScheduleStatic,
 		RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 	}
-	res, team := runLoop(t, threads, f)
-	if res.BarrierWait < 6e-3 { // ≈7 threads × ~1ms each
+	res, team := runLoop(t, threads, f) // also checks the master leaves at MaxFinish
+	if res.BarrierWait < 6e-3 {         // ≈7 threads × ~1ms each
 		t.Fatalf("BarrierWait = %v, want ≈7ms of accumulated idling", res.BarrierWait)
 	}
 	if team.BarrierWait != res.BarrierWait {
 		t.Fatal("team did not accumulate barrier wait")
 	}
-	// Master leaves at the barrier release: its clock equals MaxFinish.
 	if res.MaxFinish <= 1e-3 {
 		t.Fatalf("MaxFinish = %v, want > 1ms", res.MaxFinish)
 	}
@@ -279,17 +311,10 @@ func TestNoWaitSkipsBarrier(t *testing.T) {
 	eng := sim.NewEngine(1)
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, threads)
-	var returnedAt sim.Time
-	eng.Spawn("master", func(p *sim.Proc) {
-		team.ParallelFor(p, For{
-			N: n, Schedule: ScheduleStatic, NoWait: true,
-			RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
-		})
-		returnedAt = p.Now()
+	_, returnedAt := runMaster(t, eng, team, For{
+		N: n, Schedule: ScheduleStatic, NoWait: true,
+		RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 	if returnedAt > 1e-3 {
 		t.Fatalf("NoWait master returned at %v, should not wait for the 4ms thread", returnedAt)
 	}
@@ -346,18 +371,11 @@ func BenchmarkParallelForDynamic(b *testing.B) {
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, 16)
 	prof := workload.Uniform(1<<12, 1e-6, 3e-6, 1)
-	eng.Spawn("master", func(p *sim.Proc) {
-		for i := 0; i < b.N; i++ {
-			team.ParallelFor(p, For{
-				N: prof.N(), Schedule: ScheduleDynamic,
-				RangeCost: func(x, y int) sim.Time { return prof.Range(x, y) },
-			})
-		}
-	})
 	b.ResetTimer()
-	if err := eng.Run(); err != nil {
-		b.Fatal(err)
-	}
+	runLoops(b, eng, team, b.N, For{
+		N: prof.N(), Schedule: ScheduleDynamic,
+		RangeCost: func(x, y int) sim.Time { return prof.Range(x, y) },
+	})
 }
 
 func TestRandomScheduleDeterministicPerSeed(t *testing.T) {
@@ -366,16 +384,10 @@ func TestRandomScheduleDeterministicPerSeed(t *testing.T) {
 		cfg := cluster.MiniHPC(1)
 		team, _ := NewTeam(eng, &cfg, 0, 4)
 		prof := workload.Uniform(512, 10e-6, 40e-6, 7)
-		var res ForResult
-		eng.Spawn("master", func(p *sim.Proc) {
-			res = team.ParallelFor(p, For{
-				N: 512, Schedule: ScheduleRandom,
-				RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
-			})
+		res, _ := runMaster(t, eng, team, For{
+			N: 512, Schedule: ScheduleRandom,
+			RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 		})
-		if err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
 		return res.MaxFinish
 	}
 	if run(5) != run(5) {
@@ -398,17 +410,10 @@ func TestSequentialLoopsAccumulate(t *testing.T) {
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, 4)
 	prof := workload.Constant(64, 5e-6)
-	eng.Spawn("master", func(p *sim.Proc) {
-		for i := 0; i < 3; i++ {
-			team.ParallelFor(p, For{
-				N: 64, Schedule: ScheduleDynamic, Chunk: 4,
-				RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
-			})
-		}
+	runLoops(t, eng, team, 3, For{
+		N: 64, Schedule: ScheduleDynamic, Chunk: 4,
+		RangeCost: func(a, b int) sim.Time { return prof.Range(a, b) },
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
 	if team.Loops != 3 {
 		t.Fatalf("Loops = %d, want 3", team.Loops)
 	}
@@ -422,25 +427,19 @@ func TestParallelForPanicsOnMisuse(t *testing.T) {
 	cfg := cluster.MiniHPC(1)
 	team, _ := NewTeam(eng, &cfg, 0, 2)
 	panics := 0
-	eng.Spawn("master", func(p *sim.Proc) {
-		func() {
+	misuse := func(f For) func() {
+		return func() {
 			defer func() {
 				if recover() != nil {
 					panics++
 				}
 			}()
-			team.ParallelFor(p, For{N: -1, Schedule: ScheduleStatic,
-				RangeCost: func(a, b int) sim.Time { return 0 }})
-		}()
-		func() {
-			defer func() {
-				if recover() != nil {
-					panics++
-				}
-			}()
-			team.ParallelFor(p, For{N: 10, Schedule: ScheduleStatic})
-		}()
-	})
+			team.ParallelFor(f, func(ForResult) { t.Error("misused loop ran") })
+		}
+	}
+	eng.Schedule(0, misuse(For{N: -1, Schedule: ScheduleStatic,
+		RangeCost: func(a, b int) sim.Time { return 0 }}))
+	eng.Schedule(0, misuse(For{N: 10, Schedule: ScheduleStatic}))
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}

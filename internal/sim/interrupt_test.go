@@ -7,15 +7,14 @@ import (
 )
 
 // TestInterruptAbortsRun verifies the external-interrupt contract: a run
-// whose interrupt flag is set stops with ErrInterrupted, reaps its parked
-// processes, and leaks no goroutines.
+// whose interrupt flag is set stops with ErrInterrupted within one poll
+// stride.
 func TestInterruptAbortsRun(t *testing.T) {
 	e := NewEngine(1)
 	var flag atomic.Bool
 	e.SetInterrupt(&flag)
 
-	// A self-perpetuating event chain that would run forever, plus a parked
-	// process that only Shutdown can reap.
+	// A self-perpetuating event chain that would run forever.
 	fired := 0
 	var tick func()
 	tick = func() {
@@ -26,14 +25,10 @@ func TestInterruptAbortsRun(t *testing.T) {
 		e.After(1, tick)
 	}
 	e.Schedule(0, tick)
-	e.Spawn("parked-forever", func(p *Proc) { p.Park() })
 
 	err := e.Run()
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("Run = %v, want ErrInterrupted", err)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("%d live procs after interrupted Run", e.LiveProcs())
 	}
 	if fired < 2*interruptStride || fired > 3*interruptStride {
 		t.Fatalf("fired %d events; interrupt should stop within one stride", fired)
@@ -47,12 +42,11 @@ func TestInterruptUnsetIsHarmless(t *testing.T) {
 		e := NewEngine(7)
 		e.SetInterrupt(flag)
 		var end Time
-		e.Spawn("worker", func(p *Proc) {
-			for i := 0; i < 3*interruptStride; i++ {
-				p.Sleep(0.5)
-			}
-			end = p.Now()
-		})
+		durs := make([]Time, 3*interruptStride)
+		for i := range durs {
+			durs[i] = 0.5
+		}
+		chain(e, durs, nil, func() { end = e.Now() })
 		err := e.Run()
 		return end, err
 	}

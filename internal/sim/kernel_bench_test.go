@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -9,37 +8,40 @@ import (
 //
 //	go test ./internal/sim -bench Kernel -benchmem
 //
-// The alloc columns are the regression signal: the resume path must report
-// ~0 allocs/op in steady state.
+// The alloc columns are the regression signal: scheduling a prebuilt step
+// must report ~0 allocs/op in steady state.
 
-// BenchmarkKernelSelfSleep measures a single process sleeping repeatedly:
-// the pure event-queue cost with no goroutine switch (self-resume stays on
-// the same goroutine via the buffered gate).
-func BenchmarkKernelSelfSleep(b *testing.B) {
+// stepper is a continuation machine that reschedules its prebuilt step d
+// later until it has taken n steps.
+func stepper(e *Engine, n int, d Time) {
+	k := 0
+	var step func()
+	step = func() {
+		if k++; k < n {
+			e.After(d, step)
+		}
+	}
+	e.Schedule(0, step)
+}
+
+// BenchmarkKernelScheduleCallback measures one machine stepping repeatedly:
+// the pure event-queue cost (front-buffer push and pop).
+func BenchmarkKernelScheduleCallback(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(Microsecond)
-		}
-	})
+	stepper(e, b.N, Microsecond)
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkKernelPingPong measures the cross-process handoff: two processes
-// alternating, one goroutine switch per event.
+// BenchmarkKernelPingPong measures two machines alternating.
 func BenchmarkKernelPingPong(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
 	for i := 0; i < 2; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < b.N/2; k++ {
-				p.Sleep(Microsecond)
-			}
-		})
+		stepper(e, b.N/2+1, Microsecond)
 	}
 	b.ResetTimer()
 	if err := e.Run(); err != nil {
@@ -47,89 +49,15 @@ func BenchmarkKernelPingPong(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelManyProcs stresses the heap with 256 interleaved sleepers,
-// the shape of a 16-node × 16-rank simulation.
+// BenchmarkKernelManyProcs stresses the queue with 256 interleaved
+// machines, the shape of a 16-node × 16-rank simulation.
 func BenchmarkKernelManyProcs(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEngine(1)
-	const procs = 256
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		d := Time(i%17+1) * Microsecond
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < per; k++ {
-				p.Sleep(d)
-			}
-		})
-	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkKernelScheduleCallback measures the generic closure event path
-// (the rare case; one closure allocation per event is expected here).
-func BenchmarkKernelScheduleCallback(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine(1)
-	var fire func()
-	n := 0
-	fire = func() {
-		if n < b.N {
-			n++
-			e.After(Microsecond, fire)
-		}
-	}
-	e.Schedule(0, fire)
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkKernelWaitQueue measures park/wake through the FIFO ring.
-func BenchmarkKernelWaitQueue(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine(1)
-	var q WaitQueue
-	e.Spawn("waiter", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.Wait(p)
-		}
-	})
-	e.Spawn("waker", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			for q.Len() == 0 {
-				p.Sleep(Microsecond)
-			}
-			q.WakeOne()
-			p.Sleep(Microsecond)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkKernelMutexConvoy measures a contended simulated mutex: 16
-// processes taking turns, the shape of the paper's lock-polling scenarios at
-// the sim layer.
-func BenchmarkKernelMutexConvoy(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine(1)
-	var m Mutex
-	const procs = 16
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < per; k++ {
-				m.Lock(p)
-				p.Sleep(Microsecond)
-				m.Unlock()
-			}
-		})
+	const machines = 256
+	per := b.N/machines + 1
+	for i := 0; i < machines; i++ {
+		stepper(e, per, Time(i%17+1)*Microsecond)
 	}
 	b.ResetTimer()
 	if err := e.Run(); err != nil {

@@ -1,65 +1,58 @@
 package sim
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
-	"time"
 )
 
 // TestSteadyStateSleepAllocatesNothing is the allocation regression gate for
-// the kernel hot path: once an engine and its processes exist, Sleep (and
-// the resume events beneath it) must not allocate. The budget covers only
-// fixed setup (engine, proc, goroutine, heap growth), so it stays constant
-// while the sleep count scales.
+// the kernel hot path: once an engine and its machines' step closures
+// exist, scheduling a step must not allocate. The budget covers only fixed
+// setup (engine, closures, queue growth), so it stays constant while the
+// step count scales.
 func TestSteadyStateSleepAllocatesNothing(t *testing.T) {
-	const sleeps = 100_000
+	const steps = 100_000
 	allocs := testing.AllocsPerRun(3, func() {
 		e := NewEngine(1)
 		for i := 0; i < 4; i++ {
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for k := 0; k < sleeps/4; k++ {
-					p.Sleep(Microsecond)
+			k := 0
+			var step func()
+			step = func() {
+				if k++; k < steps/4 {
+					e.After(Microsecond, step)
 				}
-			})
+			}
+			e.Schedule(0, step)
 		}
 		if err := e.Run(); err != nil {
 			t.Error(err)
 		}
 	})
-	// ~40 fixed allocations observed; anything growing with the sleep count
+	// ~40 fixed allocations observed; anything growing with the step count
 	// would show up as thousands.
 	if allocs > 200 {
-		t.Fatalf("steady-state run allocated %.0f times for %d sleeps; the resume path must be allocation-free", allocs, sleeps)
+		t.Fatalf("steady-state run allocated %.0f times for %d steps; the scheduling path must be allocation-free", allocs, steps)
 	}
 }
 
 // TestEqualTimestampFIFOAcrossEventKinds locks in the seq tie-break across
-// the two event representations (specialized resume vs generic callback):
-// events scheduled for the same instant fire strictly in schedule order.
+// the scheduling entry points (Schedule, After, ScheduleAsOf at the current
+// instant, and an AbsorbAsOf that must queue): events scheduled for the same
+// (time, scheduling time) fire strictly in schedule order.
 func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	var a, b *Proc
-	a = e.Spawn("a", func(p *Proc) {
-		p.Park()
-		order = append(order, "resume-a")
-	})
-	b = e.Spawn("b", func(p *Proc) {
-		p.Park()
-		order = append(order, "resume-b")
-	})
+	rec := func(name string) func() { return func() { order = append(order, name) } }
 	e.Schedule(2, func() {
-		// All four at t=2, interleaving callback and resume events.
-		e.Schedule(2, func() { order = append(order, "fn-1") })
-		a.Unpark()
-		e.Schedule(2, func() { order = append(order, "fn-2") })
-		b.Unpark()
+		// All four at (t=2, born=2), interleaving the entry points.
+		e.Schedule(2, rec("schedule"))
+		e.ScheduleAsOf(2, 2, rec("asof"))
+		e.After(0, rec("after"))
+		e.AbsorbAsOf(2, 2, rec("absorb")) // not the head: queues
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"fn-1", "resume-a", "fn-2", "resume-b"}
+	want := []string{"schedule", "asof", "after", "absorb"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -106,80 +99,6 @@ func TestHeapStressOrdering(t *testing.T) {
 	// or in TestEqualTimestampFIFOAcrossEventKinds.
 }
 
-// TestShutdownAfterDeadlockLeaksNoGoroutines verifies that a deadlocked
-// simulation's Shutdown reaps every parked process goroutine.
-func TestShutdownAfterDeadlockLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-	for round := 0; round < 10; round++ {
-		e := NewEngine(1)
-		var q WaitQueue
-		for i := 0; i < 32; i++ {
-			e.Spawn(fmt.Sprintf("stuck%d", i), func(p *Proc) {
-				q.Wait(p) // nobody wakes the queue
-			})
-		}
-		err := e.Run()
-		if _, ok := err.(*DeadlockError); !ok {
-			t.Fatalf("Run error = %v, want deadlock", err)
-		}
-		if e.LiveProcs() != 0 {
-			t.Fatalf("LiveProcs = %d after shutdown", e.LiveProcs())
-		}
-	}
-	// Give exited goroutines a moment to be accounted.
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > before+5 && time.Now().Before(deadline) {
-		runtime.Gosched()
-		time.Sleep(time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+5 {
-		t.Fatalf("goroutines grew %d -> %d across 10 deadlocked runs", before, after)
-	}
-}
-
-// TestWaitQueueWakeOrderUnderChurn exercises the ring buffer through many
-// grow/wrap cycles and checks strict FIFO wake order.
-func TestWaitQueueWakeOrderUnderChurn(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	var woke []int
-	const workers = 20
-	for i := 0; i < workers; i++ {
-		i := i
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			for round := 0; round < 5; round++ {
-				// Stagger arrivals so the ring head wraps repeatedly.
-				p.Sleep(Time(i+1+round*workers) * Microsecond)
-				q.Wait(p)
-				woke = append(woke, round*workers+i)
-			}
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		for total := 0; total < workers*5; {
-			p.Sleep(200 * Microsecond)
-			for q.Len() > 0 {
-				q.WakeOne()
-				total++
-			}
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(woke) != workers*5 {
-		t.Fatalf("woke %d, want %d", len(woke), workers*5)
-	}
-	// Within each batch the wake order equals arrival order; arrivals are
-	// strictly staggered by the sleep pattern, so the full sequence must be
-	// sorted in arrival order per round: 0..19, 20..39, ...
-	for i, v := range woke {
-		if v != i {
-			t.Fatalf("wake order broken at %d: got %v", i, woke[:i+1])
-		}
-	}
-}
-
 // TestReentrantRunPanics pins the guard against driving an engine that is
 // already running.
 func TestReentrantRunPanics(t *testing.T) {
@@ -198,28 +117,5 @@ func TestReentrantRunPanics(t *testing.T) {
 	}
 	if !panicked {
 		t.Fatal("re-entrant Run did not panic")
-	}
-}
-
-// TestUnparkAt verifies the timed resume primitive, including past-time
-// clamping.
-func TestUnparkAt(t *testing.T) {
-	e := NewEngine(1)
-	var woke, woke2 Time
-	s1 := e.Spawn("s1", func(p *Proc) { p.Park(); woke = p.Now() })
-	s2 := e.Spawn("s2", func(p *Proc) { p.Park(); woke2 = p.Now() })
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(5)
-		s1.UnparkAt(9) // future: exact
-		s2.UnparkAt(1) // past: clamps to now
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 9 {
-		t.Fatalf("UnparkAt woke at %v, want 9", woke)
-	}
-	if woke2 != 5 {
-		t.Fatalf("past UnparkAt woke at %v, want clamp to 5", woke2)
 	}
 }

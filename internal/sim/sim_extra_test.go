@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -19,74 +18,30 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	}
 }
 
+// TestEventCallbackCanSpawn checks that a callback can start a new machine
+// mid-run, the way World.Launch starts ranks from engine events.
 func TestEventCallbackCanSpawn(t *testing.T) {
 	e := NewEngine(1)
 	var done Time
 	e.Schedule(3, func() {
-		e.Spawn("late", func(p *Proc) {
-			p.Sleep(1)
-			done = p.Now()
-		})
+		e.After(1, func() { done = e.Now() })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if done != 4 {
-		t.Fatalf("late proc finished at %v, want 4", done)
+		t.Fatalf("late machine finished at %v, want 4", done)
 	}
 }
 
-func TestUnparkFinishedProcPanics(t *testing.T) {
-	e := NewEngine(1)
-	var p *Proc
-	p = e.Spawn("short", func(*Proc) {})
-	e.Schedule(1, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Unpark of finished proc did not panic")
-			}
-		}()
-		p.Unpark()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestProcIdentity(t *testing.T) {
-	e := NewEngine(1)
-	var ids []int
-	for i := 0; i < 3; i++ {
-		p := e.Spawn(fmt.Sprintf("p%d", i), func(pr *Proc) {
-			if pr.Engine() != e {
-				t.Error("Engine() wrong")
-			}
-		})
-		ids = append(ids, p.ID())
-		if p.Name() != fmt.Sprintf("p%d", i) {
-			t.Fatalf("Name = %q", p.Name())
-		}
-	}
-	if ids[0] == ids[1] || ids[1] == ids[2] {
-		t.Fatalf("IDs not unique: %v", ids)
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestMassiveProcCount runs 4096 machines with interleaved waits: it
+// stresses every queue layout.
 func TestMassiveProcCount(t *testing.T) {
-	// 4096 procs with interleaved sleeps: stresses the heap and handoff.
 	e := NewEngine(1)
 	finished := 0
 	for i := 0; i < 4096; i++ {
 		d := Time(i%17+1) * Microsecond
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < 5; k++ {
-				p.Sleep(d)
-			}
-			finished++
-		})
+		chain(e, []Time{d, d, d, d, d}, nil, func() { finished++ })
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -94,33 +49,10 @@ func TestMassiveProcCount(t *testing.T) {
 	if finished != 4096 {
 		t.Fatalf("finished = %d", finished)
 	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d", e.LiveProcs())
-	}
 }
 
 func TestDurationConstants(t *testing.T) {
 	if Second != 1 || Millisecond != 1e-3 || Microsecond != 1e-6 || Nanosecond != 1e-9 {
 		t.Fatal("duration constants wrong")
-	}
-}
-
-func TestSemaphoreBlocksAtZero(t *testing.T) {
-	e := NewEngine(1)
-	sem := NewSemaphore(0)
-	var acquired Time
-	e.Spawn("waiter", func(p *Proc) {
-		sem.Acquire(p)
-		acquired = p.Now()
-	})
-	e.Spawn("releaser", func(p *Proc) {
-		p.Sleep(2)
-		sem.Release()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if acquired != 2 {
-		t.Fatalf("acquired at %v, want 2", acquired)
 	}
 }

@@ -7,6 +7,28 @@ import (
 	"testing/quick"
 )
 
+// chain starts a continuation machine at time zero that waits each of
+// durs in turn, calling step after every wait and done at the end.
+func chain(e *Engine, durs []Time, step func(), done func()) {
+	i := 0
+	var next func()
+	next = func() {
+		if i > 0 && step != nil {
+			step()
+		}
+		if i == len(durs) {
+			if done != nil {
+				done()
+			}
+			return
+		}
+		d := durs[i]
+		i++
+		e.After(d, next)
+	}
+	e.Schedule(0, next)
+}
+
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
@@ -63,16 +85,13 @@ func TestSchedulePastClampsToNow(t *testing.T) {
 	}
 }
 
+// TestProcSleepAdvancesTime checks that a machine's timed continuations
+// land exactly at now+d.
 func TestProcSleepAdvancesTime(t *testing.T) {
 	e := NewEngine(1)
 	var at []Time
-	e.Spawn("a", func(p *Proc) {
-		at = append(at, p.Now())
-		p.Sleep(1.5)
-		at = append(at, p.Now())
-		p.Sleep(0.25)
-		at = append(at, p.Now())
-	})
+	e.Schedule(0, func() { at = append(at, e.Now()) })
+	chain(e, []Time{1.5, 0.25}, func() { at = append(at, e.Now()) }, nil)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +103,8 @@ func TestProcSleepAdvancesTime(t *testing.T) {
 	}
 }
 
+// TestProcsInterleaveDeterministically runs four machines with different
+// periods and demands an identical interleaving on every run.
 func TestProcsInterleaveDeterministically(t *testing.T) {
 	run := func() []string {
 		e := NewEngine(7)
@@ -91,12 +112,9 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			name := fmt.Sprintf("p%d", i)
 			d := Time(i+1) * 0.1
-			e.Spawn(name, func(p *Proc) {
-				for k := 0; k < 3; k++ {
-					p.Sleep(d)
-					log = append(log, fmt.Sprintf("%s@%.2f", p.Name(), float64(p.Now())))
-				}
-			})
+			chain(e, []Time{d, d, d}, func() {
+				log = append(log, fmt.Sprintf("%s@%.2f", name, float64(e.Now())))
+			}, nil)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -114,18 +132,19 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// TestZeroAndNegativeSleepYields checks that a zero or negative wait still
+// goes through the queue: every event already due at the instant fires
+// first.
 func TestZeroAndNegativeSleepYields(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
-	e.Spawn("a", func(p *Proc) {
+	e.Schedule(0, func() {
 		order = append(order, "a1")
-		p.Sleep(0)
-		order = append(order, "a2")
+		e.After(0, func() { order = append(order, "a2") })
 	})
-	e.Spawn("b", func(p *Proc) {
+	e.Schedule(0, func() {
 		order = append(order, "b1")
-		p.Sleep(-5)
-		order = append(order, "b2")
+		e.After(-5, func() { order = append(order, "b2") })
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -138,146 +157,78 @@ func TestZeroAndNegativeSleepYields(t *testing.T) {
 	}
 }
 
-func TestParkUnpark(t *testing.T) {
+// TestScheduleAsOfOrder pins replay positioning: among events of equal
+// firing time, one scheduled "as of" an earlier instant fires before events
+// scheduled later, and after those scheduled earlier still.
+func TestScheduleAsOfOrder(t *testing.T) {
 	e := NewEngine(1)
-	var woke Time
-	var sleeper *Proc
-	sleeper = e.Spawn("sleeper", func(p *Proc) {
-		p.Park()
-		woke = p.Now()
-	})
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(2)
-		sleeper.Unpark()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 2 {
-		t.Fatalf("sleeper woke at %v, want 2", woke)
-	}
-}
-
-func TestWaitQueueFIFO(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
 	var order []string
-	for i := 0; i < 3; i++ {
-		name := fmt.Sprintf("w%d", i)
-		delay := Time(i) * 0.1
-		e.Spawn(name, func(p *Proc) {
-			p.Sleep(delay)
-			q.Wait(p)
-			order = append(order, p.Name())
+	e.Schedule(1, func() {
+		e.Schedule(5, func() { order = append(order, "born1") })
+	})
+	e.Schedule(3, func() {
+		e.Schedule(5, func() { order = append(order, "born3") })
+		e.ScheduleAsOf(5, 2, func() { order = append(order, "asof2") })
+		e.ScheduleAsOf(5, 0.5, func() { order = append(order, "asof0.5") })
+		e.ScheduleAsOf(1, 3, func() { // past: clamps to now
+			order = append(order, fmt.Sprintf("clamped@%v", e.Now()))
 		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
-		for q.Len() > 0 {
-			q.WakeOne()
-			p.Sleep(0.01)
-		}
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"w0", "w1", "w2"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("wake order = %v, want %v", order, want)
-		}
+	want := []string{"clamped@3", "asof0.5", "born1", "asof2", "born3"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
-func TestWaitQueueWakeAll(t *testing.T) {
-	e := NewEngine(1)
-	var q WaitQueue
-	woken := 0
-	for i := 0; i < 5; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			q.Wait(p)
-			woken++
-		})
-	}
-	e.Spawn("waker", func(p *Proc) {
-		p.Sleep(1)
-		if n := q.WakeAll(); n != 5 {
-			t.Errorf("WakeAll woke %d, want 5", n)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woken != 5 {
-		t.Fatalf("woken = %d, want 5", woken)
-	}
-}
-
-func TestMutexMutualExclusionAndFIFO(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	inside := 0
-	maxInside := 0
-	var order []string
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("p%d", i)
-		delay := Time(i) * 0.01
-		e.Spawn(name, func(p *Proc) {
-			p.Sleep(delay)
-			m.Lock(p)
-			order = append(order, p.Name())
-			inside++
-			if inside > maxInside {
-				maxInside = inside
+// TestAbsorbAsOfMatchesQueue checks the inline-absorption contract: with
+// absorption on and off, the same program fires its callbacks in the same
+// order at the same instants with the same EventScheduledAt, and absorption
+// runs an event inline only when it is the next one due.
+func TestAbsorbAsOfMatchesQueue(t *testing.T) {
+	run := func(absorb bool) (log []string, inline int) {
+		e := NewEngine(1)
+		e.SetAbsorb(absorb)
+		rec := func(name string) func() {
+			return func() {
+				log = append(log, fmt.Sprintf("%s@%v/%v", name, e.Now(), e.EventScheduledAt()))
 			}
-			p.Sleep(1) // hold across virtual time
-			inside--
-			m.Unlock()
+		}
+		e.Schedule(2, rec("other"))
+		e.Schedule(0, func() {
+			depth := 0
+			// Head of the queue: absorbed inline when enabled.
+			e.AbsorbAsOf(1, 0, func() {
+				depth++
+				rec("a")()
+				// Ties "other" at t=2 but was born later: must queue.
+				e.AbsorbAsOf(2, 1, func() {
+					rec("b")()
+					// Nothing else is queued: absorbed.
+					e.AbsorbAsOf(3, 2, rec("c"))
+				})
+			})
+			inline = depth
 		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if maxInside != 1 {
-		t.Fatalf("max concurrent holders = %d, want 1", maxInside)
-	}
-	want := []string{"p0", "p1", "p2", "p3"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("grant order = %v, want %v", order, want)
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
 		}
+		return log, inline
 	}
-}
-
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	e.Spawn("a", func(p *Proc) {
-		if !m.TryLock() {
-			t.Error("first TryLock failed")
-		}
-		if m.TryLock() {
-			t.Error("second TryLock succeeded while held")
-		}
-		m.Unlock()
-		if !m.TryLock() {
-			t.Error("TryLock after Unlock failed")
-		}
-		m.Unlock()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	on, inlineOn := run(true)
+	off, inlineOff := run(false)
+	if fmt.Sprint(on) != fmt.Sprint(off) {
+		t.Fatalf("absorbed run %v differs from queued run %v", on, off)
 	}
-}
-
-func TestUnlockUnheldPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Unlock of unheld mutex did not panic")
-		}
-	}()
-	var m Mutex
-	m.Unlock()
+	want := []string{"a@1/0", "other@2/0", "b@2/1", "c@3/2"}
+	if fmt.Sprint(on) != fmt.Sprint(want) {
+		t.Fatalf("order = %v, want %v", on, want)
+	}
+	if inlineOn != 1 || inlineOff != 0 {
+		t.Fatalf("inline absorption: on=%d off=%d, want 1 and 0", inlineOn, inlineOff)
+	}
 }
 
 func TestServerSerializesRequests(t *testing.T) {
@@ -285,9 +236,9 @@ func TestServerSerializesRequests(t *testing.T) {
 	var s Server
 	var finish []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			s.Serve(p, 2)
-			finish = append(finish, p.Now())
+		e.Schedule(0, func() {
+			done := s.ServeAsync(e.Now(), 2)
+			e.Schedule(done, func() { finish = append(finish, e.Now()) })
 		})
 	}
 	if err := e.Run(); err != nil {
@@ -308,35 +259,24 @@ func TestServerSerializesRequests(t *testing.T) {
 }
 
 func TestServerIdleGapDoesNotAccumulate(t *testing.T) {
-	e := NewEngine(1)
 	var s Server
-	var second Time
-	e.Spawn("a", func(p *Proc) {
-		s.Serve(p, 1) // finishes at t=1
-		p.Sleep(9)    // server idle 1..10
-		s.Serve(p, 1) // must finish at 11, not 2+...
-		second = p.Now()
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if first := s.ServeAsync(0, 1); first != 1 {
+		t.Fatalf("first completion at %v, want 1", first)
 	}
-	if second != 11 {
+	// Server idle 1..10: the second request must finish at 11, not 2+...
+	if second := s.ServeAsync(10, 1); second != 11 {
 		t.Fatalf("second completion at %v, want 11", second)
 	}
 }
 
+// TestServerReportsWaitTime checks the queueing a request sees: its wait
+// is its completion minus its own service minus its arrival.
 func TestServerReportsWaitTime(t *testing.T) {
-	e := NewEngine(1)
 	var s Server
 	var waits []Time
 	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-			w := s.Serve(p, 5)
-			waits = append(waits, w)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		done := s.ServeAsync(0, 5)
+		waits = append(waits, done-5)
 	}
 	want := []Time{0, 5, 10}
 	for i := range want {
@@ -356,92 +296,6 @@ func TestServeAsync(t *testing.T) {
 	}
 	if got := s.ServeAsync(100, 1); got != 101 {
 		t.Fatalf("idle-gap async completion = %v, want 101", got)
-	}
-}
-
-func TestSemaphore(t *testing.T) {
-	e := NewEngine(1)
-	sem := NewSemaphore(2)
-	inside, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			sem.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(1)
-			inside--
-			sem.Release()
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency = %d, want 2", peak)
-	}
-	if sem.Available() != 2 {
-		t.Fatalf("final permits = %d, want 2", sem.Available())
-	}
-}
-
-func TestDeadlockDetection(t *testing.T) {
-	e := NewEngine(1)
-	e.Spawn("stuck", func(p *Proc) {
-		p.Park() // nobody will Unpark
-	})
-	err := e.Run()
-	de, ok := err.(*DeadlockError)
-	if !ok {
-		t.Fatalf("Run error = %v, want *DeadlockError", err)
-	}
-	if len(de.Blocked) != 1 || de.Blocked[0] != "stuck" {
-		t.Fatalf("Blocked = %v, want [stuck]", de.Blocked)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs after shutdown = %d, want 0", e.LiveProcs())
-	}
-}
-
-func TestShutdownReleasesNestedWaiters(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	e.Spawn("holder", func(p *Proc) {
-		m.Lock(p)
-		p.Park() // hold forever
-	})
-	for i := 0; i < 3; i++ {
-		e.Spawn(fmt.Sprintf("waiter%d", i), func(p *Proc) {
-			p.Sleep(1)
-			m.Lock(p)
-		})
-	}
-	err := e.Run()
-	if _, ok := err.(*DeadlockError); !ok {
-		t.Fatalf("Run error = %v, want deadlock", err)
-	}
-	if e.LiveProcs() != 0 {
-		t.Fatalf("LiveProcs = %d, want 0 after shutdown", e.LiveProcs())
-	}
-}
-
-func TestSpawnFromProc(t *testing.T) {
-	e := NewEngine(1)
-	var childAt Time
-	e.Spawn("parent", func(p *Proc) {
-		p.Sleep(3)
-		e.Spawn("child", func(c *Proc) {
-			c.Sleep(1)
-			childAt = c.Now()
-		})
-		p.Sleep(10)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if childAt != 4 {
-		t.Fatalf("child finished at %v, want 4", childAt)
 	}
 }
 
@@ -473,34 +327,29 @@ func TestEngineRandDeterminism(t *testing.T) {
 	}
 }
 
-// Property: for any set of random sleep programs, each process observes
+// Property: for any set of random wait chains, each machine observes
 // non-decreasing time, and the engine clock ends at the max finish time.
 func TestQuickVirtualTimeMonotonic(t *testing.T) {
-	f := func(seed int64, nProcsRaw uint8) bool {
-		nProcs := int(nProcsRaw%8) + 1
+	f := func(seed int64, nRaw uint8) bool {
+		n := int(nRaw%8) + 1
 		e := NewEngine(seed)
 		rng := rand.New(rand.NewSource(seed))
 		ok := true
 		var maxEnd Time
-		ends := make([]Time, nProcs)
-		for i := 0; i < nProcs; i++ {
+		ends := make([]Time, n)
+		for i := 0; i < n; i++ {
 			i := i
-			steps := rng.Intn(20) + 1
-			durs := make([]Time, steps)
+			durs := make([]Time, rng.Intn(20)+1)
 			for j := range durs {
 				durs[j] = Time(rng.Float64())
 			}
-			e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				prev := p.Now()
-				for _, d := range durs {
-					p.Sleep(d)
-					if p.Now() < prev {
-						ok = false
-					}
-					prev = p.Now()
+			var prev Time
+			chain(e, durs, func() {
+				if e.Now() < prev {
+					ok = false
 				}
-				ends[i] = p.Now()
-			})
+				prev = e.Now()
+			}, func() { ends[i] = e.Now() })
 		}
 		if err := e.Run(); err != nil {
 			return false
@@ -518,27 +367,21 @@ func TestQuickVirtualTimeMonotonic(t *testing.T) {
 }
 
 // Property: a Server's total busy time equals the sum of service demands,
-// and completions are spaced at least a service apart.
+// and every request completes.
 func TestQuickServerConservation(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw%16) + 1
 		e := NewEngine(seed)
 		rng := rand.New(rand.NewSource(seed))
 		var s Server
-		var total Time
-		demands := make([]Time, n)
-		for i := range demands {
-			demands[i] = Time(rng.Float64() + 0.01)
-			total += demands[i]
-		}
-		var sumServed Time
+		var total, sumServed Time
 		for i := 0; i < n; i++ {
-			d := demands[i]
+			d := Time(rng.Float64() + 0.01)
+			total += d
 			arrive := Time(rng.Float64() * 2)
-			e.Spawn(fmt.Sprintf("c%d", i), func(p *Proc) {
-				p.Sleep(arrive)
-				s.Serve(p, d)
-				sumServed += d
+			e.Schedule(arrive, func() {
+				done := s.ServeAsync(e.Now(), d)
+				e.Schedule(done, func() { sumServed += d })
 			})
 		}
 		if err := e.Run(); err != nil {
@@ -557,34 +400,4 @@ func absT(t Time) Time {
 		return -t
 	}
 	return t
-}
-
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	e := NewEngine(1)
-	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1e-6)
-		}
-	})
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkEngineManyProcs(b *testing.B) {
-	e := NewEngine(1)
-	const procs = 256
-	per := b.N/procs + 1
-	for i := 0; i < procs; i++ {
-		e.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-			for k := 0; k < per; k++ {
-				p.Sleep(1e-6)
-			}
-		})
-	}
-	b.ResetTimer()
-	if err := e.Run(); err != nil {
-		b.Fatal(err)
-	}
 }
