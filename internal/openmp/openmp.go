@@ -102,6 +102,9 @@ type Team struct {
 	BarrierWait sim.Time // Σ idle time at implicit barriers
 	Loops       int
 	Chunks      int
+
+	// spare is a finished loop object kept for the next ParallelFor.
+	spare *loop
 }
 
 // NewTeam creates a team of the given size on node.
@@ -157,16 +160,38 @@ type loopState struct {
 	cyclicPos      []int  // static,k: next strip start per thread
 }
 
-// loop is one running worksharing loop.
+// loop is one worksharing loop's state plus its threads' machines. Once a
+// loop has fully finished — every thread retired and the master left — the
+// team keeps the object, machines included, for its next loop.
 type loop struct {
-	t      *Team
-	f      For
-	st     loopState
-	res    ForResult
-	ndone  int  // threads that passed the implicit barrier
-	chunks int  // ranges executed so far
-	joined bool // the master waits at the join for the other threads
-	cont   func(ForResult)
+	t       *Team
+	f       For
+	st      loopState
+	res     ForResult
+	ndone   int  // threads that passed the implicit barrier
+	chunks  int  // ranges executed so far
+	joined  bool // the master waits at the join for the other threads
+	left    bool // the master has left the loop
+	cont    func(ForResult)
+	threads []thread
+	// fork, join and leave bound once as event callbacks.
+	forkFn, joinFn, leaveFn func()
+}
+
+// thread is one team thread's machine: its range in flight and its step
+// callbacks, bound once per loop object. Under static schedules step takes
+// the thread's next precomputed range and schedules its completion, exec,
+// which visits the range and steps again; under the dynamic family grab
+// serves one atomic at the team port, grabbed takes a chunk from the shared
+// state at the service completion and schedules the chunk's completion,
+// executed, which visits it and grabs again. Either way the exhausted
+// thread pays the barrier signalling cost and retires.
+type thread struct {
+	a, b                    int
+	start                   sim.Time
+	step, exec              func() // static schedules
+	grab, grabbed, executed func() // dynamic family
+	barrier, retire         func()
 }
 
 // ParallelFor runs worksharing loop f on the team, starting from inside the
@@ -184,15 +209,82 @@ func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 	if f.RangeCost == nil {
 		panic("openmp: For.RangeCost is required")
 	}
-	lp := &loop{t: t, f: f, cont: cont, res: ForResult{ThreadFinish: make([]sim.Time, t.threads)}}
+	lp := t.spare
+	if lp == nil {
+		lp = t.newLoop()
+	}
+	t.spare = nil
+	lp.f, lp.cont = f, cont
+	lp.res = ForResult{ThreadFinish: make([]sim.Time, t.threads)}
+	lp.ndone, lp.chunks, lp.joined, lp.left = 0, 0, false, false
+	st := &lp.st
+	st.next, st.step, st.sched = 0, 0, nil
+	clear(st.assignedStatic)
+	st.cyclicPos = st.cyclicPos[:0]
 	switch f.Schedule {
 	case ScheduleTSS:
-		lp.st.sched = dls.MustNew(dls.TSS, dls.Params{N: f.N, P: t.threads})
+		st.sched = dls.MustNew(dls.TSS, dls.Params{N: f.N, P: t.threads})
 	case ScheduleFAC2:
-		lp.st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: t.threads})
+		st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: t.threads})
 	}
 	now := t.eng.Now()
-	t.eng.AbsorbAsOf(now+t.ForkJoin, now, lp.fork)
+	t.eng.AbsorbAsOf(now+t.ForkJoin, now, lp.forkFn)
+}
+
+// newLoop builds a loop object and its threads' machines.
+func (t *Team) newLoop() *loop {
+	lp := &loop{t: t, threads: make([]thread, t.threads)}
+	lp.forkFn, lp.joinFn, lp.leaveFn = lp.fork, lp.join, lp.leave
+	eng, f, st := t.eng, &lp.f, &lp.st
+	for tid := range lp.threads {
+		th := &lp.threads[tid]
+		th.retire = func() { lp.retire(tid) }
+		th.barrier = func() {
+			now := eng.Now()
+			eng.ScheduleAsOf(now+t.Barrier, now, th.retire)
+		}
+		th.exec = func() {
+			if f.Visit != nil {
+				f.Visit(tid, th.a, th.b, th.start, eng.Now())
+			}
+			th.step()
+		}
+		th.step = func() {
+			th.a, th.b = t.staticRange(f, st, tid)
+			if th.a >= th.b {
+				th.barrier()
+				return
+			}
+			lp.chunks++
+			th.start = eng.Now()
+			d := t.cl.ExecTime(t.node, f.RangeCost(th.a, th.b), th.start, eng.Rand())
+			eng.ScheduleAsOf(th.start+d, th.start, th.exec)
+		}
+		th.executed = func() {
+			lp.chunks++
+			if f.Visit != nil {
+				f.Visit(tid, th.a, th.b, th.start, eng.Now())
+			}
+			th.grab()
+		}
+		th.grabbed = func() {
+			th.a, th.b = t.take(f, st, tid)
+			now := eng.Now()
+			if th.a >= th.b {
+				eng.ScheduleAsOf(now, now, th.barrier)
+				return
+			}
+			th.start = now
+			d := t.cl.ExecTime(t.node, f.RangeCost(th.a, th.b), th.start, eng.Rand())
+			eng.ScheduleAsOf(th.start+d, th.start, th.executed)
+		}
+		th.grab = func() {
+			now := eng.Now()
+			doneAt := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
+			eng.ScheduleAsOf(now+(doneAt-now), now, th.grabbed)
+		}
+	}
+	return lp
 }
 
 // fork runs at the end of the master's fork overhead: it starts the worker
@@ -200,84 +292,18 @@ func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 // then runs thread 0's first step inline.
 func (lp *loop) fork() {
 	lp.t.Loops++
-	for tid := 1; tid < lp.t.threads; tid++ {
-		lp.startThread(tid)
+	first := func(th *thread) func() {
+		if lp.f.Schedule == ScheduleStatic {
+			return th.step
+		}
+		return th.grab
 	}
-	lp.startThread(0)
-}
-
-// startThread builds thread tid's machine. Under static schedules a step
-// takes the thread's next precomputed range and schedules its completion,
-// which visits the range and takes the next step; under the dynamic family
-// a grab serves one atomic at the team port, takes a chunk from the shared
-// state at the service completion and schedules the chunk's completion,
-// which visits it and grabs again. Either way the exhausted thread pays the
-// barrier signalling cost and retires.
-func (lp *loop) startThread(tid int) {
-	t, f, eng := lp.t, &lp.f, lp.t.eng
-	var (
-		a, b  int
-		start sim.Time
-		first func()
-	)
-	retire := func() { lp.retire(tid) }
-	barrier := func() {
-		now := eng.Now()
-		eng.ScheduleAsOf(now+t.Barrier, now, retire)
-	}
-	if f.Schedule == ScheduleStatic {
-		var step func()
-		exec := func() {
-			if f.Visit != nil {
-				f.Visit(tid, a, b, start, eng.Now())
-			}
-			step()
-		}
-		step = func() {
-			a, b = t.staticRange(f, &lp.st, tid)
-			if a >= b {
-				barrier()
-				return
-			}
-			lp.chunks++
-			start = eng.Now()
-			d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-			eng.ScheduleAsOf(start+d, start, exec)
-		}
-		first = step
-	} else {
-		var issueGrab func()
-		execEnd := func() {
-			lp.chunks++
-			if f.Visit != nil {
-				f.Visit(tid, a, b, start, eng.Now())
-			}
-			issueGrab()
-		}
-		grabbed := func() {
-			a, b = t.take(f, &lp.st, tid)
-			now := eng.Now()
-			if a >= b {
-				eng.ScheduleAsOf(now, now, barrier)
-				return
-			}
-			start = now
-			d := t.cl.ExecTime(t.node, f.RangeCost(a, b), start, eng.Rand())
-			eng.ScheduleAsOf(start+d, start, execEnd)
-		}
-		issueGrab = func() {
-			now := eng.Now()
-			doneAt := t.atomicPort.ServeAsync(now, t.cl.Mem.LocalAtomic)
-			eng.ScheduleAsOf(now+(doneAt-now), now, grabbed)
-		}
-		first = issueGrab
-	}
-	if tid == 0 {
-		first()
-		return
-	}
+	eng := lp.t.eng
 	now := eng.Now()
-	eng.ScheduleAsOf(now, now, first)
+	for tid := 1; tid < len(lp.threads); tid++ {
+		eng.ScheduleAsOf(now, now, first(&lp.threads[tid]))
+	}
+	first(&lp.threads[0])()
 }
 
 // retire records thread tid passing the implicit barrier. The master then
@@ -295,8 +321,9 @@ func (lp *loop) retire(tid int) {
 	if lp.joined {
 		lp.joined = false
 		now := lp.t.eng.Now()
-		lp.t.eng.ScheduleAsOf(now, now, lp.join)
+		lp.t.eng.ScheduleAsOf(now, now, lp.joinFn)
 	}
+	lp.recycle()
 }
 
 // join runs wherever the master checks the barrier.
@@ -317,7 +344,7 @@ func (lp *loop) join() {
 		}
 		// Join: the master leaves at the barrier-release time.
 		if now := lp.t.eng.Now(); res.MaxFinish > now {
-			lp.t.eng.ScheduleAsOf(now+(res.MaxFinish-now), now, lp.leave)
+			lp.t.eng.ScheduleAsOf(now+(res.MaxFinish-now), now, lp.leaveFn)
 			return
 		}
 	}
@@ -330,7 +357,18 @@ func (lp *loop) leave() {
 	t.BarrierWait += lp.res.BarrierWait
 	t.Chunks += lp.chunks
 	lp.res.Chunks = lp.chunks
-	lp.cont(lp.res)
+	lp.left = true
+	res, cont := lp.res, lp.cont
+	lp.recycle()
+	cont(res)
+}
+
+// recycle hands a fully finished loop object back to the team.
+func (lp *loop) recycle() {
+	if lp.left && lp.ndone == len(lp.threads) {
+		lp.cont = nil
+		lp.t.spare = lp
+	}
 }
 
 // staticRange returns thread tid's next range [a, b) under a static
@@ -401,10 +439,9 @@ func (t *Team) take(f *For, st *loopState, tid int) (int, int) {
 func (t *Team) staticCyclic(st *loopState, f *For, tid int) (int, int) {
 	k := f.Chunk
 	T := t.threads
-	if st.cyclicPos == nil {
-		st.cyclicPos = make([]int, T)
-		for i := range st.cyclicPos {
-			st.cyclicPos[i] = i * k
+	if len(st.cyclicPos) == 0 {
+		for i := 0; i < T; i++ {
+			st.cyclicPos = append(st.cyclicPos, i*k)
 		}
 	}
 	a := st.cyclicPos[tid]
