@@ -34,10 +34,10 @@ type World struct {
 	// memPort serializes RMA operations (including lock attempts) targeting
 	// windows hosted on a node. This is the resource whose saturation
 	// produces the paper's lock-polling pathology. Each port also carries
-	// the virtual lock-poller machinery (see rma.go): contended Win.Lock
-	// callers park instead of generating one host event per retry, and their
-	// poll attempts are replayed arithmetically, in arrival order, whenever
-	// the port or the lock state is touched.
+	// the virtual lock-poller machinery (see rma.go): contended lock
+	// callers register a poller instead of generating one host event per
+	// retry, and their poll attempts are replayed arithmetically, in arrival
+	// order, whenever the port or the lock state is touched.
 	memPort []*rmaPort
 
 	world     *Comm
@@ -111,7 +111,7 @@ func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, e
 // identically to NewWorld(eng, cfg, ranksPerNode) — same rank placement,
 // zeroed ports and counters, fresh collective state — with O(1) steady-state
 // allocations. Retired windows move to the reuse pool so the next cell's
-// WinAllocate recycles their memory (DESIGN.md §8).
+// WinAllocateCont recycles their memory (DESIGN.md §8).
 func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -243,7 +243,7 @@ type Rank struct {
 	core  int
 
 	// pollerBuf is the rank's reusable lock-poller: a rank has at most one
-	// outstanding Win.Lock, so the contended path allocates nothing in
+	// outstanding lock attempt, so the contended path allocates nothing in
 	// steady state.
 	pollerBuf *poller
 }

@@ -543,7 +543,7 @@ func (w *World) pooledWin(size, count int) *Win {
 // event position where a blocking caller resumed from the creation barrier.
 func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, cont func(*Win)) {
 	if shared && c.spansNodes() != 1 {
-		panic(fmt.Sprintf("mpi: WinAllocateShared on communicator %q spanning %d nodes", c.name, c.spansNodes()))
+		panic(fmt.Sprintf("mpi: shared window on communicator %q spanning %d nodes", c.name, c.spansNodes()))
 	}
 	st := c.enter(r, "winalloc")
 	if st.payload == nil {
