@@ -268,9 +268,8 @@ type poller struct {
 	// the arrival for a check). Events of equal firing time fire in
 	// scheduling order, so born decides ties between a replayed step and a
 	// real same-instant arrival.
-	born     sim.Time
-	attempts int
-	reg      uint32 // registration tie-break, assigned by pushPoller
+	born sim.Time
+	reg  uint32 // registration tie-break, assigned by pushPoller
 }
 
 // canSucceed reports whether the poller's next check would acquire the lock
@@ -312,7 +311,6 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// the literal attempt would, then wait for the check moment.
 			done := pt.srv.ServeAsync(best.at, mem.LockAttempt)
 			best.win.LockAttempts++
-			best.attempts++
 			best.inService = true
 			// Mirror the literal service wake-up bit for bit: the attempt
 			// would have waited (done − at) from at, so its check is at
@@ -624,7 +622,7 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 		pl := r.pooledPoller()
 		*pl = poller{
 			win: w, target: target, lockType: lockType, cont: cont,
-			at: born + mem.PollInterval, born: born, attempts: 1,
+			at: born + mem.PollInterval, born: born,
 		}
 		pt.pushPoller(pl)
 	}
@@ -651,7 +649,7 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 				pl := r.pooledPoller()
 				*pl = poller{
 					win: w, target: target, lockType: lockType, cont: cont,
-					at: chk + mem.PollInterval, born: chk, attempts: 1,
+					at: chk + mem.PollInterval, born: chk,
 				}
 				pt.pushPoller(pl)
 				return
