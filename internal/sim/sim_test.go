@@ -132,6 +132,28 @@ func TestProcsInterleaveDeterministically(t *testing.T) {
 	}
 }
 
+// TestSpawnFromProc checks that a running machine can start another one:
+// the child starts at its parent's instant, not at time zero.
+func TestSpawnFromProc(t *testing.T) {
+	e := NewEngine(1)
+	var childAt Time
+	e.Schedule(0, func() {
+		e.After(3, func() {
+			chain(e, []Time{1}, nil, func() { childAt = e.Now() })
+			e.After(10, func() {})
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if childAt != 4 {
+		t.Fatalf("child finished at %v, want 4", childAt)
+	}
+	if e.Now() != 13 {
+		t.Fatalf("parent finished at %v, want 13", e.Now())
+	}
+}
+
 // TestZeroAndNegativeSleepYields checks that a zero or negative wait still
 // goes through the queue: every event already due at the instant fires
 // first.
