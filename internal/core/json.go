@@ -6,12 +6,16 @@ import (
 	"strings"
 )
 
+// approachSeparators strips the separators ParseApproach ignores. Built
+// once: a Replacer is safe for concurrent use, and every decoded
+// "approach" field goes through it.
+var approachSeparators = strings.NewReplacer("_", "", "-", "", "+", "", " ", "")
+
 // ParseApproach maps an approach name to its value. It accepts the
 // display forms ("MPI+MPI", "MPI+OpenMP", "MPI+OpenMP(nowait)") and the
 // usual CLI spellings ("mpimpi", "mpi-openmp", "nowait"), case-insensitively.
 func ParseApproach(s string) (Approach, error) {
-	n := strings.ToLower(strings.TrimSpace(s))
-	n = strings.NewReplacer("_", "", "-", "", "+", "", " ", "").Replace(n)
+	n := approachSeparators.Replace(strings.ToLower(strings.TrimSpace(s)))
 	switch n {
 	case "mpimpi":
 		return MPIMPI, nil

@@ -77,8 +77,11 @@ type Job struct {
 	outcomes  []castore.Outcome // how the store resolved each completed cell
 	completed int
 	failed    int
-	finished  time.Time // when the last cell completed (zero while running)
 
+	// finished is when the last cell completed (zero while running). It is
+	// written under both the manager's mu and j.mu, and read by eviction
+	// under the manager's mu.
+	finished time.Time
 	// pins counts in-flight readers (results replays) holding the job.
 	// Guarded by the MANAGER's mu, not j.mu: pin/unpin and the eviction
 	// decision in evictLocked must be atomic with respect to each other.
@@ -123,34 +126,42 @@ func (j *Job) Done() bool {
 	return j.completed == len(j.cells)
 }
 
-// doneSince reports completion and, if complete, when.
-func (j *Job) doneSince() (bool, time.Time) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.completed == len(j.cells), j.finished
-}
-
 // complete records cell idx's frozen line and store outcome, and wakes
 // streamers.
 func (j *Job) complete(idx int, line []byte, failed bool, outcome castore.Outcome) {
+	m := j.mgr
 	j.mu.Lock()
+	last := j.completed == len(j.cells)-1
+	if last {
+		// The final cell retires the job under the manager's lock, in the
+		// same critical section that makes Done() true, so whoever sees
+		// Done() also finds the job in the next eviction pass. No other
+		// cell can complete meanwhile, so j.mu can be dropped to take the
+		// locks in order: the manager's, then the job's.
+		j.mu.Unlock()
+		m.mu.Lock()
+		j.mu.Lock()
+	}
 	j.lines[idx] = line
 	j.outcomes[idx] = outcome
 	j.completed++
 	if failed {
 		j.failed++
 	}
-	last := j.completed == len(j.cells)
 	if last {
 		j.finished = time.Now()
+		m.retireLocked(j)
 	}
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	j.mgr.noteCellDone()
 	if last {
-		j.mgr.activeJobs.Add(-1)
-		j.mgr.jobDone(j)
-		j.mgr.jobWG.Done()
+		m.mu.Unlock()
+	}
+	m.noteCellDone()
+	if last {
+		m.activeJobs.Add(-1)
+		m.jobDone(j)
+		m.jobWG.Done()
 	}
 }
 
@@ -249,9 +260,15 @@ type Manager struct {
 	// record. See journal.go and DESIGN.md §13.
 	journal *jobJournal
 
-	mu          sync.Mutex
-	jobs        map[string]*Job
-	jobOrder    []string       // submission order, for bounded retention
+	mu   sync.Mutex
+	jobs map[string]*Job
+	// retired queues completed jobs in completion order, oldest first;
+	// eviction pops its head, so a pass costs O(jobs evicted). held keeps
+	// the completed jobs that reached the head while pinned (see Acquire),
+	// oldest first: they still count against the cap, and every pass
+	// re-examines them.
+	retired     []*Job
+	held        []*Job
 	clients     map[string]int // incomplete jobs per admission key
 	queueClosed bool
 
@@ -452,7 +469,6 @@ func (m *Manager) SubmitWith(ctx context.Context, cells []hdls.Config, opts Subm
 		}
 	}
 	m.jobs[id] = j
-	m.jobOrder = append(m.jobOrder, id)
 	if opts.Client != "" {
 		m.clients[opts.Client]++
 	}
@@ -487,21 +503,26 @@ func (m *Manager) bumpSeq(id string) {
 	}
 }
 
-// jobDone runs once per job, after its last cell completes: release the
-// deadline timer, free the client's admission slot, and append the
-// journal's terminal record so a restart will not replay the job.
-func (m *Manager) jobDone(j *Job) {
-	if j.cancel != nil {
-		j.cancel()
-	}
+// retireLocked runs once per job, as its last cell completes: queue the
+// job for retention and free the client's admission slot. Caller holds
+// m.mu.
+func (m *Manager) retireLocked(j *Job) {
+	m.retired = append(m.retired, j)
 	if j.Client != "" {
-		m.mu.Lock()
 		if n := m.clients[j.Client]; n <= 1 {
 			delete(m.clients, j.Client)
 		} else {
 			m.clients[j.Client] = n - 1
 		}
-		m.mu.Unlock()
+	}
+}
+
+// jobDone runs once per job, after its last cell completes and the job
+// retired: release the deadline timer and append the journal's terminal
+// record so a restart will not replay the job.
+func (m *Manager) jobDone(j *Job) {
+	if j.cancel != nil {
+		j.cancel()
 	}
 	if j.journaled {
 		m.journal.finish(j)
@@ -589,34 +610,49 @@ func (m *Manager) RetryAfterSeconds() int {
 	return secs
 }
 
-// evictLocked drops completed jobs that aged past the TTL, then the oldest
+// evictLocked drops completed jobs that aged past the TTL, and the oldest
 // completed jobs beyond the retention count cap. Running jobs are never
 // evicted: their submitters still hold the *Job, and the worker pool still
 // feeds it. Pinned jobs (in-flight results replays, see Acquire) are never
 // evicted either — eviction is deferred to the janitor tick after the last
 // reader releases.
+//
+// Completed jobs wait in completion order, so finish times ascend along
+// m.retired and the pass stops at the first job it keeps: it costs
+// O(jobs evicted + jobs held), not O(jobs retained).
 func (m *Manager) evictLocked(now time.Time) {
-	completed := 0
-	for _, id := range m.jobOrder {
-		if done, _ := m.jobs[id].doneSince(); done {
-			completed++
-		}
+	completed := len(m.held) + len(m.retired)
+	evictable := func(j *Job) bool {
+		return completed > m.maxJobs || now.Sub(j.finished) > m.jobTTL
 	}
-	kept := m.jobOrder[:0]
-	for _, id := range m.jobOrder {
-		j := m.jobs[id]
-		done, finished := j.doneSince()
-		evict := done && j.pins == 0 &&
-			(now.Sub(finished) > m.jobTTL || completed > m.maxJobs)
-		if evict {
-			delete(m.jobs, id)
-			m.jobsEvicted.Add(1)
+	kept := m.held[:0]
+	for _, j := range m.held {
+		if j.pins == 0 && evictable(j) {
+			m.evict(j)
 			completed--
 			continue
 		}
-		kept = append(kept, id)
+		kept = append(kept, j)
 	}
-	m.jobOrder = kept
+	clear(m.held[len(kept):])
+	m.held = kept
+	for len(m.retired) > 0 && evictable(m.retired[0]) {
+		j := m.retired[0]
+		m.retired[0] = nil
+		m.retired = m.retired[1:]
+		if j.pins > 0 {
+			m.held = append(m.held, j)
+			continue
+		}
+		m.evict(j)
+		completed--
+	}
+}
+
+// evict drops a completed job from the store. Caller holds m.mu.
+func (m *Manager) evict(j *Job) {
+	delete(m.jobs, j.ID)
+	m.jobsEvicted.Add(1)
 }
 
 // janitor evicts TTL-expired jobs even when no submissions arrive. Stopped
@@ -800,7 +836,7 @@ type ManagerStats struct {
 // Stats reports lifetime job/cell counters and the live queue depth.
 func (m *Manager) Stats() ManagerStats {
 	m.mu.Lock()
-	retained := len(m.jobOrder)
+	retained := len(m.jobs)
 	m.mu.Unlock()
 	return ManagerStats{
 		Jobs:           m.jobsTotal.Load(),

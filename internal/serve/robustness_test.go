@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -120,6 +121,97 @@ func TestJobStoreEviction(t *testing.T) {
 			t.Fatalf("janitor never evicted TTL-expired jobs: %d retained", m.Stats().JobsRetained)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestJobStoreEvictionQueue runs 64 sequential jobs through a manager that
+// retains 2, with the first job pinned throughout: every submission's
+// eviction pass pops the oldest completed jobs, so the newest two survive,
+// the pinned job survives until it is released, and JobsEvicted counts
+// every other job. A burst from concurrent submitters follows, racing the
+// workers' retirements under -race.
+func TestJobStoreEvictionQueue(t *testing.T) {
+	m := NewManager(ManagerConfig{Workers: 2, QueueCapacity: 64, JobTTL: time.Hour, RetainedJobs: 2, Store: newMemStore(t, 16)})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Drain(ctx); err != nil {
+			t.Errorf("cleanup drain: %v", err)
+		}
+	})
+	run := func(seed int64) *Job {
+		t.Helper()
+		j, err := m.Submit([]hdls.Config{cheapCell(seed, dls.GSS)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for !j.Done() {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s did not complete", j.ID)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		return j
+	}
+
+	jobs := []*Job{run(1)}
+	_, release, ok := m.Acquire(jobs[0].ID)
+	if !ok {
+		t.Fatal("completed job not addressable")
+	}
+	for i := 1; i < 64; i++ {
+		jobs = append(jobs, run(int64(i+1)))
+	}
+	for i, j := range jobs {
+		_, kept := m.Job(j.ID)
+		if want := i == 0 || i >= 62; kept != want {
+			t.Errorf("job %d (%s): retained = %v, want %v", i, j.ID, kept, want)
+		}
+	}
+	if st := m.Stats(); st.JobsEvicted != 61 || st.JobsRetained != 3 {
+		t.Errorf("JobsEvicted = %d, JobsRetained = %d; want 61 and 3", st.JobsEvicted, st.JobsRetained)
+	}
+
+	release()
+	last := run(65) // its submission's pass finds the released job over the cap
+	if _, kept := m.Job(jobs[0].ID); kept {
+		t.Error("released job survived an eviction pass over the cap")
+	}
+	for _, j := range []*Job{jobs[62], jobs[63], last} {
+		if _, kept := m.Job(j.ID); !kept {
+			t.Errorf("job %s evicted; only the released job was over the cap", j.ID)
+		}
+	}
+	if st := m.Stats(); st.JobsEvicted != 62 {
+		t.Errorf("JobsEvicted = %d after the release, want 62", st.JobsEvicted)
+	}
+
+	// Concurrent submitters race the workers' retirements: every job is
+	// still either retained or counted as evicted, and one more pass
+	// leaves at most the cap plus the job that triggered it.
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 16; i++ {
+				j, err := m.Submit([]hdls.Config{cheapCell(int64(100+16*c+i), dls.GSS)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := j.WaitCell(context.Background(), 0); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	run(200)
+	if st := m.Stats(); st.JobsRetained > 3 || st.JobsEvicted+int64(st.JobsRetained) != st.Jobs {
+		t.Errorf("after the concurrent burst: %d jobs, %d evicted, %d retained", st.Jobs, st.JobsEvicted, st.JobsRetained)
 	}
 }
 

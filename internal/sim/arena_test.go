@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -9,7 +10,9 @@ import (
 // TestEngineResetMatchesFresh verifies the arena-pooling contract: a Reset
 // engine is observationally identical to a fresh one — same clock, same RNG
 // stream, same event order — even after a run that exercised the queue's
-// layouts and the payload free-list.
+// layouts and the payload free-list. The lazily seeded RNG must draw the
+// standard source's stream after NewEngine, after a Reset that follows a
+// run that drew or one that did not, and after back-to-back Resets.
 func TestEngineResetMatchesFresh(t *testing.T) {
 	scenario := func(e *Engine) []Time {
 		var fired []Time
@@ -44,6 +47,61 @@ func TestEngineResetMatchesFresh(t *testing.T) {
 			t.Fatalf("event %d differs: fresh %v, reset %v", i, fresh[i], again[i])
 		}
 	}
+
+	// The source seeds itself on its first draw: whatever the engine's
+	// history, the first 1,000 draws must equal the standard source's.
+	const s = 42
+	want := drawMix(rand.New(rand.NewSource(s)))
+	check := func(what string, e *Engine) {
+		t.Helper()
+		got := drawMix(e.Rand())
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: draw %d = %#x, want %#x", what, i, got[i], want[i])
+			}
+		}
+	}
+	check("NewEngine", NewEngine(s))
+
+	e = NewEngine(s)
+	scenario(e) // a run that drew
+	e.Reset(s)
+	check("Reset after a run that drew", e)
+
+	e = NewEngine(7)
+	chain(e, []Time{Microsecond, Microsecond}, nil, nil) // a run that never drew
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	e.Reset(s)
+	check("Reset after a run that did not draw", e)
+
+	e = NewEngine(7)
+	e.Rand().Int63()
+	e.Reset(9)
+	e.Reset(s)
+	check("two back-to-back Resets", e)
+}
+
+// drawMix draws 1,000 values from r, cycling through Int63, Float64,
+// NormFloat64, Intn and Uint64, and returns their bit patterns.
+func drawMix(r *rand.Rand) []uint64 {
+	out := make([]uint64, 1000)
+	for i := range out {
+		switch i % 5 {
+		case 0:
+			out[i] = uint64(r.Int63())
+		case 1:
+			out[i] = math.Float64bits(r.Float64())
+		case 2:
+			out[i] = math.Float64bits(r.NormFloat64())
+		case 3:
+			out[i] = uint64(r.Intn(1000))
+		case 4:
+			out[i] = r.Uint64()
+		}
+	}
+	return out
 }
 
 // TestEngineResetRefusesDirtyEngine pins the safety contract: an engine

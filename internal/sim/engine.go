@@ -105,6 +105,7 @@ type Engine struct {
 	free []int32
 
 	rng     *rand.Rand
+	src     lazySource // rng's source
 	running bool
 
 	// curBorn is the scheduling time of the event currently being executed
@@ -140,12 +141,55 @@ func (e *Engine) SetInterrupt(flag *atomic.Bool) {
 }
 
 // NewEngine returns an engine with its virtual clock at zero and a
-// deterministic random source derived from seed.
+// deterministic random source derived from seed. The source seeds itself
+// on its first draw (see lazySource), so a run that never draws never pays
+// for seeding.
 func NewEngine(seed int64) *Engine {
-	return &Engine{
-		rng:       rand.New(rand.NewSource(seed)),
-		arrayMode: true,
+	e := &Engine{arrayMode: true}
+	e.src.seed = seed
+	e.rng = rand.New(&e.src)
+	return e
+}
+
+// lazySource is a math/rand source that defers seeding to its first draw.
+// Seeding the standard source fills its 607-word state (about 19 µs on a
+// 2-core x86 VM, a tenth of a small cell), and cells without noise or a
+// RANDOM schedule never draw. Deferring it keeps every drawn stream
+// identical to rand.New(rand.NewSource(seed)), because nothing observes
+// the state before a draw.
+type lazySource struct {
+	src    rand.Source64 // nil until the first draw
+	seed   int64
+	seeded bool
+}
+
+// Seed records seed; the next draw applies it.
+func (s *lazySource) Seed(seed int64) { s.seed, s.seeded = seed, false }
+
+// Int63 draws from the seeded source.
+func (s *lazySource) Int63() int64 {
+	if !s.seeded {
+		s.seedNow()
 	}
+	return s.src.Int63()
+}
+
+// Uint64 draws from the seeded source.
+func (s *lazySource) Uint64() uint64 {
+	if !s.seeded {
+		s.seedNow()
+	}
+	return s.src.Uint64()
+}
+
+// seedNow applies the recorded seed, building the source on first use.
+func (s *lazySource) seedNow() {
+	if s.src == nil {
+		s.src = rand.NewSource(s.seed).(rand.Source64)
+	} else {
+		s.src.Seed(s.seed)
+	}
+	s.seeded = true
 }
 
 // Now reports the current virtual time.
@@ -538,9 +582,10 @@ func (e *Engine) Run() error {
 }
 
 // Reset reinitializes a drained engine in place so it can run another
-// simulation: the clock returns to zero, the random source is reseeded, and
-// the event queue and callback table empty while keeping their backing
-// capacity. The result is observationally identical to
+// simulation: the clock returns to zero, the random source records seed
+// (it reseeds on its first draw, so a cell that never draws skips the
+// cost), and the event queue and callback table empty while keeping their
+// backing capacity. The result is observationally identical to
 // NewEngine(seed) — same clock, same RNG stream, same (t, born, seq) event
 // ordering — which is what lets sweep drivers pool engines across cells
 // (DESIGN.md §8). Reset panics if the previous run left queued events: such

@@ -8,24 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// specKey identifies one ParseSpec construction; the seed participates
-// because the random synthetic kinds draw from it.
-type specKey struct {
-	spec string
-	seed int64
-}
-
-var specCache sync.Map // specKey -> *Profile
-
-// specCacheMax bounds the memo's entry count. CLI sweeps resolve a
-// handful of distinct (spec, seed) pairs, but a long-running daemon sees
-// client-controlled keys; beyond the bound ParseSpec still works, it just
-// stops retaining (profiles are pure functions of the key, so skipping
-// the memo changes nothing but speed).
-const specCacheMax = 4096
-
-var specCacheLen atomic.Int64
-
 // ParseSpec builds a workload from a compact scenario string of the form
 // "kind" or "kind:key=val,key=val". It is the CLI/Config surface of the
 // synthetic generators; the two paper kernels are reachable too, so every
@@ -47,35 +29,99 @@ var specCacheLen atomic.Int64
 //
 // Shared defaults: n=4096, mean=100e-6, scale=8.
 //
-// Successful parses are memoized process-wide by (spec, seed): profiles are
-// immutable, and sweep drivers resolve the same spec in every cell.
+// Successful parses are memoized process-wide: profiles are immutable,
+// and sweep drivers resolve the same spec in every cell. The memo key is
+// the spec alone for kinds that never read the seed (constant, increasing,
+// decreasing, mandelbrot and psia), so cells differing only in seed share
+// one profile and its cached CoV; the random kinds key by (spec, seed).
+// The memo retains at most specCacheBudget iterations and serves
+// unretained profiles beyond it.
 func ParseSpec(spec string, seed int64) (*Profile, error) {
-	key := specKey{spec: spec, seed: seed}
-	if v, ok := specCache.Load(key); ok {
+	return specCache.parse(spec, seed)
+}
+
+// specKey identifies one ParseSpec construction. The seed participates
+// only for kinds that read it (see readsSeed); seed-free kinds key by the
+// spec alone, so fresh-seed cells share one profile and its cached CoV.
+type specKey struct {
+	spec string
+	seed int64
+}
+
+// specCacheBudget bounds the memo by the iterations its profiles hold:
+// each iteration costs 16 bytes (cost plus prefix sum), so 1<<23 pins at
+// most 128 MiB. CLI sweeps resolve a handful of distinct specs, but a
+// long-running daemon sees client-controlled keys, and one fresh-seed
+// spec at the service's largest n holds 64 MiB. Past the budget ParseSpec
+// still works, it just stops retaining (profiles are pure functions of the
+// key, so skipping the memo changes nothing but speed).
+const specCacheBudget = 1 << 23
+
+// specMemo is the ParseSpec memo: profiles keyed by specKey, retained
+// while their iteration total stays within budget.
+type specMemo struct {
+	profiles sync.Map // specKey -> *Profile
+	iters    atomic.Int64
+	budget   int64
+}
+
+var specCache = specMemo{budget: specCacheBudget}
+
+// parse resolves spec through the memo.
+func (m *specMemo) parse(spec string, seed int64) (*Profile, error) {
+	key := specKey{spec: spec}
+	if readsSeed(specKind(spec)) {
+		key.seed = seed
+	}
+	if v, ok := m.profiles.Load(key); ok {
 		return v.(*Profile), nil
 	}
 	p, err := parseSpec(spec, seed)
 	if err != nil {
 		return nil, err
 	}
-	if specCacheLen.Load() >= specCacheMax {
-		return p, nil // memo full: serve unretained (see specCacheMax)
+	if !m.reserve(int64(p.N())) {
+		return p, nil // over budget: serve unretained (see specCacheBudget)
 	}
-	if v, loaded := specCache.LoadOrStore(key, p); loaded {
+	if v, loaded := m.profiles.LoadOrStore(key, p); loaded {
+		m.iters.Add(-int64(p.N()))
 		return v.(*Profile), nil
 	}
-	specCacheLen.Add(1)
 	return p, nil
+}
+
+// reserve claims n iterations of the budget, or reports that they do not
+// fit. Claiming before storing keeps concurrent misses from overshooting;
+// a claim that does not fit is given back, and a miss that sees one in
+// flight merely serves its profile unretained.
+func (m *specMemo) reserve(n int64) bool {
+	if m.iters.Add(n) <= m.budget {
+		return true
+	}
+	m.iters.Add(-n)
+	return false
+}
+
+// readsSeed reports whether a spec kind draws its costs from the seed.
+// It is the one place that decides: parseSpec hands seed-free kinds a
+// zero seed, and the memo drops the seed from their key.
+func readsSeed(kind string) bool {
+	switch kind {
+	case "constant", "increasing", "decreasing",
+		"mandelbrot", "mandel", "psia", "spinimage":
+		return false
+	}
+	return true
 }
 
 // specParams parses a spec's head: the kind token and its key=val
 // parameter map. Shared by parseSpec and SpecN.
 func specParams(spec string) (string, map[string]float64, error) {
-	kind, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
-	kind = strings.ToLower(strings.TrimSpace(kind))
+	kind := specKind(spec)
 	if kind == "" {
 		return "", nil, fmt.Errorf("workload: empty spec")
 	}
+	_, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	kv := map[string]float64{}
 	if rest != "" {
 		for _, part := range strings.Split(rest, ",") {
@@ -91,6 +137,12 @@ func specParams(spec string) (string, map[string]float64, error) {
 		}
 	}
 	return kind, kv, nil
+}
+
+// specKind returns a spec's kind token, lower-cased.
+func specKind(spec string) string {
+	kind, _, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	return strings.ToLower(strings.TrimSpace(kind))
 }
 
 // SpecN reports the iteration count a spec would produce, without
@@ -136,6 +188,9 @@ func parseSpec(spec string, seed int64) (*Profile, error) {
 	kind, kv, err := specParams(spec)
 	if err != nil {
 		return nil, err
+	}
+	if !readsSeed(kind) {
+		seed = 0 // seed-free kinds are pure functions of the spec
 	}
 	known := func(keys ...string) error {
 		for k := range kv {
