@@ -75,17 +75,18 @@ type lockState struct {
 // argument.
 type rmaPort struct {
 	srv sim.Server
-	// keys is a binary min-heap of pending poll steps ordered by
+	// Pending poll steps wait in two queues, each sorted by the key
 	// (at, born, reg): the engine's (time, scheduling-time) event order,
 	// with registration order as the deterministic tie-break — exactly the
-	// order the literal selection scan preferred. Keys are pointer-free so
-	// every sift swap is a barrier-less 24-byte copy; items holds the
-	// pollers in stable slots the keys point at. The heap makes each
-	// replayed step O(log P) instead of a full rescan, and the earliest
-	// pending step is an O(1) peek.
-	keys      []pollerKey
-	items     []*poller
-	freeSlots []int32
+	// order the literal selection scan preferred. checks holds the
+	// in-service attempts, keyed by their check time; arrivals holds the
+	// backed-off pollers, keyed by their next arrival. The earliest pending
+	// step is the smaller of the two heads, an O(1) peek. The port serves
+	// attempts in FIFO order, so check times grow in arrival order and
+	// back-offs in check order: almost every move between the queues is an
+	// append, and the rest insert in key order, which keeps the selection
+	// order the single sorted order of all pending steps by construction.
+	checks, arrivals stepQueue
 	// byReg holds the same pollers in registration order: reconcilePort must
 	// walk them exactly as the literal slice scan did, because the order in
 	// which wake-chain positions are armed is part of the frozen event
@@ -93,11 +94,12 @@ type rmaPort struct {
 	byReg []*poller
 	// hom is true while every registered poller targets one (win, target)
 	// pair — the common shape (a node's ranks all contend for the one local
-	// queue lock) — letting reconcilePort skip the whole walk with a single
-	// lock-word check when that lock is exclusively held.
+	// queue lock) — letting reconcilePort skip the whole walk: with that
+	// lock exclusively held nothing can be armed, and with it free the walk
+	// would end at the earliest pending step.
 	hom bool
 	// reg is the monotone registration counter behind the tie-break
-	// (32-bit with a wrap guard, matching pollerKey.reg).
+	// (32-bit with a wrap guard).
 	reg uint32
 	// armW/armT are reconcilePort's arm-once scratch: the locks whose
 	// covering mark improved during the current walk, deduplicated.
@@ -112,15 +114,14 @@ type rmaPort struct {
 	checksInFlight int
 }
 
-// pollerKey is a heap entry: the poller's pending-step position plus its
-// stable slot in items.
+// pollerKey is one pending poll step: its position and the poller that
+// takes it. The position is a copy of the poller's own, so comparisons
+// read the queue's contiguous memory; the registration tie-break is only
+// loaded on an exact (at, born) tie.
 type pollerKey struct {
 	at   sim.Time
 	born sim.Time
-	// reg is 32-bit (with a wrap guard at registration): it only breaks
-	// (at, born) ties, and the 24-byte key keeps ring shifts cheap.
-	reg  uint32
-	slot int32
+	pl   *poller
 }
 
 func keyLess(a, b *pollerKey) bool {
@@ -130,18 +131,71 @@ func keyLess(a, b *pollerKey) bool {
 	if a.born != b.born {
 		return a.born < b.born
 	}
-	return a.reg < b.reg
+	return a.pl.reg < b.pl.reg
 }
+
+// stepQueue is an ascending run of poll-step keys: q[head:] is live, pops
+// advance head, and pushes append or insert in key order. A push into a
+// full backing array slides the live window down when at least half of it
+// is dead instead of growing, so capacity stays within four times the
+// largest live length.
+type stepQueue struct {
+	q    []pollerKey
+	head int
+}
+
+// min returns the earliest key, or nil when the queue is empty.
+func (s *stepQueue) min() *pollerKey {
+	if s.head == len(s.q) {
+		return nil
+	}
+	return &s.q[s.head]
+}
+
+// pop removes the earliest key.
+func (s *stepQueue) pop() {
+	s.head++
+	if s.head == len(s.q) {
+		s.q, s.head = s.q[:0], 0
+	}
+}
+
+// push inserts k in key order: an append when k orders after the tail,
+// otherwise a bisection of the live window and a shift of the keys after
+// k.
+func (s *stepQueue) push(k pollerKey) {
+	q, n := s.q, len(s.q)
+	if n == cap(q) && 2*s.head >= n {
+		n = copy(q, q[s.head:])
+		q, s.head = q[:n], 0
+	}
+	if n == s.head || !keyLess(&k, &q[n-1]) {
+		s.q = append(q, k)
+		return
+	}
+	lo, hi := s.head, n-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if keyLess(&k, &q[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	q = append(q, pollerKey{})
+	copy(q[lo+1:], q[lo:n])
+	q[lo] = k
+	s.q = q
+}
+
+// reset empties the queue, keeping its capacity.
+func (s *stepQueue) reset() { s.q, s.head = s.q[:0], 0 }
 
 // reset clears a pooled port for reuse, keeping slice capacity.
 func (pt *rmaPort) reset() {
 	pt.srv = sim.Server{}
-	pt.keys = pt.keys[:0]
-	for i := range pt.items {
-		pt.items[i] = nil
-	}
-	pt.items = pt.items[:0]
-	pt.freeSlots = pt.freeSlots[:0]
+	pt.checks.reset()
+	pt.arrivals.reset()
 	for i := range pt.byReg {
 		pt.byReg[i] = nil
 	}
@@ -156,12 +210,20 @@ func (pt *rmaPort) reset() {
 }
 
 // pending reports whether any poll step is registered.
-func (pt *rmaPort) pending() bool { return len(pt.keys) > 0 }
+func (pt *rmaPort) pending() bool { return len(pt.byReg) > 0 }
 
-// root returns the earliest pending step's poller.
-func (pt *rmaPort) root() *poller { return pt.items[pt.keys[0].slot] }
+// next returns the earliest pending step and whether it is an in-service
+// attempt's check (rather than a backed-off poller's arrival), or nil when
+// no step is pending.
+func (pt *rmaPort) next() (k *pollerKey, check bool) {
+	c, a := pt.checks.min(), pt.arrivals.min()
+	if c != nil && (a == nil || keyLess(c, a)) {
+		return c, true
+	}
+	return a, false
+}
 
-// pushPoller registers a new waiter.
+// pushPoller registers a new waiter, whose next step is an arrival.
 func (pt *rmaPort) pushPoller(pl *poller) {
 	pt.reg++
 	if pt.reg == 0 {
@@ -174,85 +236,25 @@ func (pt *rmaPort) pushPoller(pl *poller) {
 		pt.hom = false
 	}
 	pt.byReg = append(pt.byReg, pl)
-	var slot int32
-	if n := len(pt.freeSlots); n > 0 {
-		slot = pt.freeSlots[n-1]
-		pt.freeSlots = pt.freeSlots[:n-1]
-		pt.items[slot] = pl
-	} else {
-		pt.items = append(pt.items, pl)
-		slot = int32(len(pt.items) - 1)
-	}
-	h := append(pt.keys, pollerKey{at: pl.at, born: pl.born, reg: pl.reg, slot: slot})
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !keyLess(&h[i], &h[parent]) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-	pt.keys = h
+	pt.arrivals.push(pollerKey{at: pl.at, born: pl.born, pl: pl})
 }
 
-// fixRoot re-syncs the root key from its poller (whose pending step
-// advanced) and restores the heap.
-func (pt *rmaPort) fixRoot() {
-	pl := pt.items[pt.keys[0].slot]
-	pt.fixRootTo(pl.at, pl.born)
-}
-
-// fixRootTo is fixRoot with the advanced position passed in, saving the
-// poller reload on the advancePort hot path.
-func (pt *rmaPort) fixRootTo(at, born sim.Time) {
-	h := pt.keys
-	h[0].at, h[0].born = at, born
-	n := len(h)
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && keyLess(&h[r], &h[l]) {
-			m = r
-		}
-		if !keyLess(&h[m], &h[i]) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// popRoot removes the earliest pending step from every view.
-func (pt *rmaPort) popRoot() {
-	h := pt.keys
-	slot := h[0].slot
-	pl := pt.items[slot]
-	pt.items[slot] = nil
-	pt.freeSlots = append(pt.freeSlots, slot)
-	n := len(h) - 1
-	h[0] = h[n]
-	pt.keys = h[:n]
-	if n > 0 {
-		pt.fixRoot()
-	}
+// unregister drops a granted poller, already popped from its queue, from
+// the registration order.
+func (pt *rmaPort) unregister(pl *poller) {
 	for i, q := range pt.byReg {
 		if q == pl {
 			pt.byReg = append(pt.byReg[:i], pt.byReg[i+1:]...)
-			break
+			return
 		}
 	}
 }
 
 // poller is one waiting lock caller (see NewLockCont) whose retries are
 // simulated arithmetically. It alternates between two phases: the next
-// attempt *arriving* at the port (inService false, at = arrival time) and
-// the in-flight attempt *completing and checking* the lock word (inService
-// true, at = check time).
+// attempt *arriving* at the port (queued in rmaPort.arrivals, at = arrival
+// time) and the in-flight attempt *completing and checking* the lock word
+// (queued in rmaPort.checks, at = check time).
 type poller struct {
 	win      *Win
 	target   int
@@ -261,8 +263,7 @@ type poller struct {
 	// (time, scheduling-time) key the literal winner's check would have had.
 	cont func()
 
-	inService bool
-	at        sim.Time
+	at sim.Time
 	// born is the virtual time the step pending at `at` would have been
 	// scheduled in the literal protocol (the previous check for an arrival,
 	// the arrival for a check). Events of equal firing time fire in
@@ -297,31 +298,30 @@ func (pl *poller) canSucceed(ls *lockState) bool {
 func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advanced bool) {
 	pt := w.memPort[node]
 	mem := &w.cfg.Mem
-	for pt.pending() {
-		// Bail out on the root KEY alone — the hot exit skips the poller
-		// indirection entirely.
-		k0 := &pt.keys[0]
-		if k0.at > t || (k0.at == t && (k0.born > bornLimit || (k0.born == bornLimit && !incl))) {
+	for {
+		k, check := pt.next()
+		if k == nil || k.at > t || (k.at == t && (k.born > bornLimit || (k.born == bornLimit && !incl))) {
 			return
 		}
-		best := pt.items[k0.slot]
+		best := k.pl
 		advanced = true
-		if !best.inService {
+		if !check {
 			// The retry reaches the port: consume serial service exactly as
 			// the literal attempt would, then wait for the check moment.
+			pt.arrivals.pop()
 			done := pt.srv.ServeAsync(best.at, mem.LockAttempt)
 			best.win.LockAttempts++
-			best.inService = true
 			// Mirror the literal service wake-up bit for bit: the attempt
 			// would have waited (done − at) from at, so its check is at
 			// at + (done − at), which floating point does not guarantee to
 			// equal done, in the position scheduled at the arrival.
 			best.born = best.at
 			best.at = best.at + (done - best.at)
-			pt.fixRootTo(best.at, best.born)
+			pt.checks.push(pollerKey{at: best.at, born: best.born, pl: best})
 			continue
 		}
 		// The attempt completes: check the lock word at its own timestamp.
+		pt.checks.pop()
 		ls := &best.win.locks[best.target]
 		if best.canSucceed(ls) {
 			if best.lockType == LockExclusive {
@@ -330,7 +330,7 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 				ls.readers++
 			}
 			best.win.LockAcquisitions++
-			pt.popRoot()
+			pt.unregister(best)
 			// Resume the winner at its check time, in the position the
 			// literal check event (scheduled at the attempt's arrival)
 			// would have fired, so everything it schedules next gets the
@@ -354,12 +354,10 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 		}
 		// Failed: back off PollInterval and retry. The next arrival is the
 		// back-off's wake-up, scheduled at the check.
-		best.inService = false
 		best.born = best.at
 		best.at += mem.PollInterval
-		pt.fixRootTo(best.at, best.born)
+		pt.arrivals.push(pollerKey{at: best.at, born: best.born, pl: best})
 	}
-	return advanced
 }
 
 // reconcilePort re-establishes the wake-chain invariant after the port or a
@@ -370,20 +368,35 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 // advance and reconcile again.
 func (w *World) reconcilePort(node int) {
 	pt := w.memPort[node]
-	// Fast path: when every parked poller contends for the same lock and
-	// that lock is exclusively held, no poller can acquire it — the walk
-	// below would arm nothing. One lock-word load replaces the scan.
-	if pt.hom && len(pt.byReg) > 0 && pt.byReg[0].win.locks[pt.byReg[0].target].excl {
-		return
+	if pt.hom && len(pt.byReg) > 0 {
+		pl := pt.byReg[0]
+		ls := &pl.win.locks[pl.target]
+		// Every parked poller contends for this one lock. Held exclusively,
+		// it lets no poller acquire it: the walk below would arm nothing.
+		if ls.excl {
+			return
+		}
+		// Free, it lets every poller acquire it: the walk would end with
+		// the mark at the earliest pending step — the smaller queue head —
+		// and arm it once if that improved the mark.
+		if ls.readers == 0 {
+			k, _ := pt.next()
+			if ls.wakeSet && (ls.wakeAt < k.at || (ls.wakeAt == k.at && ls.wakeBorn <= k.born)) {
+				return
+			}
+			ls.wakeAt, ls.wakeBorn, ls.wakeSet = k.at, k.born, true
+			w.scheduleWake(node, pl.win, pl.target, k.at, k.born)
+			return
+		}
 	}
 	// Walk in registration order — the literal scan order — improving each
 	// lock's covering mark, then arm one wake per improved lock at its final
-	// mark. The literal protocol's intermediate, immediately-superseded
-	// wake-ups carry no observable state of their own: a stale wake only
-	// advances the port to its position, and every replayed poll step is
-	// position-exact arithmetic that yields the same timestamps and counters
-	// whichever trigger drives it, so only the earliest covering decision —
-	// where a grant can actually resolve — needs an engine event.
+	// mark, where a grant can actually resolve. The intermediate, superseded
+	// marks get no event. Such an event would fire later as a stale link and
+	// replay the port up to its own position, and where that position ties
+	// a real port event's (time, scheduling-time) key exactly, the extra
+	// trigger decides which of the two the port serves first. The arming
+	// rule is therefore part of the frozen event sequence (DESIGN.md §3).
 	for _, pl := range pt.byReg {
 		ls := &pl.win.locks[pl.target]
 		if !pl.canSucceed(ls) {

@@ -255,16 +255,17 @@ func (e *Engine) push(ev event) {
 // memmove too much and the queue switches to the heap layout. The bound is
 // sized for large-P sweeps: a P-rank cell keeps roughly one pending event
 // per rank, so 16 nodes × 16 ranks (plus wake-chain marks) still fits the
-// array layout, where pops are free and inserts are short tail memmoves.
-// Genuinely huge queues (the opt-in 64-node stress cells and beyond) spill
-// into the heap, whose O(log n) costs are the safe asymptotic fallback.
-const arrayModeMax = 128
+// array layout, where pops are free and inserts gallop from the minimum
+// end and shift the shorter side. Genuinely huge queues (the opt-in
+// 64-node stress cells and beyond) spill into the heap, whose O(log n)
+// costs are the safe asymptotic fallback.
+const arrayModeMax = 1024
 
 // arrayModeLowWater is the size at which a heap-mode queue converts back to
 // the sorted-array layout (see pop): once a queue that spiked past
 // arrayModeMax has drained this far, array-mode pops win again and the
 // one-off re-sort is cheap.
-const arrayModeLowWater = 16
+const arrayModeLowWater = 128
 
 // peekMin returns the earliest queued event (the queue must be non-empty;
 // the front buffer is checked by callers).
@@ -318,7 +319,20 @@ func (e *Engine) pushHeap(ev event) {
 	if e.arrayMode {
 		if len(e.heap)-e.lo < arrayModeMax {
 			h := e.heap
-			lo, hi := e.lo, len(h)
+			// Gallop from the minimum end, probing 1, 2, 4, … entries in:
+			// most inserts land a few entries from it (a continuation due
+			// soon after the events already pending), so the bracket the
+			// bisection below searches is short. Entries from hi on fire
+			// before ev; entries before lo fire after it.
+			n := len(h)
+			lo, hi := e.lo, n
+			for d := 1; n-d >= e.lo; d <<= 1 {
+				if !eventLess(&h[n-d], &ev) {
+					lo = n - d + 1
+					break
+				}
+				hi = n - d
+			}
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
 				if eventLess(&h[mid], &ev) {
@@ -330,7 +344,6 @@ func (e *Engine) pushHeap(ev event) {
 			// Insert before index lo, shifting whichever side is shorter:
 			// soon events shift the tail, far-future events shift the few
 			// entries ahead of them into the front gap.
-			n := len(h)
 			if lo-e.lo < n-lo {
 				if e.lo == 0 {
 					e.frontGap()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -63,40 +64,86 @@ func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 	}
 }
 
-// TestHeapStressOrdering drives the 4-ary heap through thousands of
-// interleaved pushes and pops with many duplicate timestamps and checks the
-// global (t, seq) order.
+// TestHeapStressOrdering drives the queue through thousands of interleaved
+// pushes and pops with heavy timestamp collisions. Callbacks schedule with
+// ScheduleAsOf, mostly at a born before now, and some far into the future,
+// while the queue grows past arrayModeMax and drains below
+// arrayModeLowWater three times, so the galloping array insert, the heapify and
+// the low-water re-sort all run. Every insert orders after the event that
+// made it, so the recorded (t, born, seq) keys must fire strictly sorted.
 func TestHeapStressOrdering(t *testing.T) {
 	e := NewEngine(99)
-	const n = 5000
-	var fired []int
-	seq := 0
-	// Schedule from inside callbacks too, so the heap churns mid-run.
-	for i := 0; i < n; i++ {
-		i := i
-		tm := Time(e.rng.Intn(50)) // heavy timestamp collisions
-		e.Schedule(tm, func() {
-			fired = append(fired, i)
-			if i%7 == 0 {
-				j := n + seq
-				seq++
-				e.After(Time(e.rng.Intn(3)), func() { fired = append(fired, j) })
+	rng := rand.New(rand.NewSource(99))
+	type key struct {
+		t, born Time
+		seq     uint32
+	}
+	var fired []key
+	size := func() int {
+		n := len(e.heap) - e.lo
+		if e.nextSet {
+			n++
+		}
+		return n
+	}
+	growing, cycles := true, 0
+	wasArray, heapified, resorted := true, 0, 0
+	var schedule func(at, born Time)
+	schedule = func(at, born Time) {
+		k := &key{t: max(at, e.now), born: born}
+		e.ScheduleAsOf(at, born, func() {
+			fired = append(fired, *k)
+			if e.arrayMode != wasArray {
+				if wasArray {
+					heapified++
+				} else {
+					resorted++
+				}
+				wasArray = e.arrayMode
+			}
+			switch n := size(); {
+			case growing && n >= arrayModeMax+400:
+				growing = false
+			case !growing && n < arrayModeLowWater/2 && cycles < 2:
+				growing, cycles = true, cycles+1
+			}
+			children := 0
+			if growing {
+				children = 2
+			}
+			now, cur := e.Now(), e.EventScheduledAt()
+			for c := 0; c < children; c++ {
+				switch d := Time(rng.Intn(5)); {
+				case d == 0:
+					// Same instant: born may not precede the current event's.
+					schedule(now, cur+Time(rng.Intn(int(now-cur)+1)))
+				case d == 4 && rng.Intn(8) == 0:
+					schedule(now+200, now-Time(rng.Intn(int(now)+1)))
+				default:
+					schedule(now+d, now-Time(rng.Intn(int(now)+1)))
+				}
 			}
 		})
+		k.seq = e.seq
+	}
+	for i := 0; i < 300; i++ {
+		schedule(Time(rng.Intn(50)), 0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fired) != n+seq {
-		t.Fatalf("fired %d events, want %d", len(fired), n+seq)
+	if heapified < 3 || resorted < 3 {
+		t.Fatalf("heapified %d, re-sorted %d times; want 3 each", heapified, resorted)
 	}
-	// The first n scheduled callbacks share seq order within equal times;
-	// verify no pair of the originals with the same timestamp inverted.
-	// (Original i was scheduled with seq i+1, so for equal t, order is by i.)
-	// We can't reconstruct t here, so assert the stronger engine-level
-	// property indirectly: time never went backwards during Run, which pop
-	// ordering guarantees; a heap bug would have surfaced as a misfire above
-	// or in TestEqualTimestampFIFOAcrossEventKinds.
+	for i := 1; i < len(fired); i++ {
+		a, b := fired[i-1], fired[i]
+		if !eventLess(&event{t: a.t, born: a.born, seq: a.seq}, &event{t: b.t, born: b.born, seq: b.seq}) {
+			t.Fatalf("event %d fired %+v after %+v", i, b, a)
+		}
+	}
+	if len(fired) < 5000 {
+		t.Fatalf("only %d events fired", len(fired))
+	}
 }
 
 // TestReentrantRunPanics pins the guard against driving an engine that is
