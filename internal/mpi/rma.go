@@ -137,8 +137,8 @@ func keyLess(a, b *pollerKey) bool {
 // stepQueue is an ascending run of poll-step keys: q[head:] is live, pops
 // advance head, and pushes append or insert in key order. A push into a
 // full backing array slides the live window down when at least half of it
-// is dead instead of growing, so capacity stays within four times the
-// largest live length.
+// is dead instead of growing, so capacity stays within a small multiple of
+// the largest live length.
 type stepQueue struct {
 	q    []pollerKey
 	head int

@@ -10,11 +10,12 @@ import (
 // TestStepQueuesMatchMinScan drives a port's two poll-step queues the way
 // advancePort does — take the earliest step, then move its poller to either
 // queue at a later position — and compares every selection with a reference
-// that scans all pending keys for the minimum. Positions drift upward, as
-// virtual time does, so most pushes append; small random offsets force
-// exact (at, born) ties, which registration order must break, and
-// out-of-order inserts. Over a long run the queues' capacity must stay
-// within a small multiple of their peak live length.
+// that scans all pending keys for the (at, born, reg) minimum, spelled out
+// here rather than through keyLess. Positions drift upward, as virtual time
+// does, so most pushes append; small random offsets force exact (at, born)
+// ties, which registration order must break, and out-of-order inserts.
+// Over a long run the queues' capacity must stay within a small multiple of
+// their peak live length.
 func TestStepQueuesMatchMinScan(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -47,8 +48,9 @@ func TestStepQueuesMatchMinScan(t *testing.T) {
 		for step := 0; step < 20000; step++ {
 			got, check := pt.next()
 			m := 0
-			for i := range ref {
-				if keyLess(&ref[i], &ref[m]) {
+			for i, k := range ref {
+				r := ref[m]
+				if k.at < r.at || k.at == r.at && (k.born < r.born || k.born == r.born && k.pl.reg < r.pl.reg) {
 					m = i
 				}
 			}

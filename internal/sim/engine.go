@@ -83,15 +83,16 @@ type Engine struct {
 	// heap holds the queued events in one of two layouts: while at most
 	// arrayModeMax entries (arrayMode), a descending-sorted gap buffer —
 	// the live window is heap[lo:], pops take the last element with zero
-	// comparisons, and inserts binary-search the window and shift whichever
-	// side is shorter (the slack below lo makes a far-future insert, which
-	// lands at the front, an O(shift of the few events beyond it) move
-	// instead of a whole-array memmove). This beats heap sifting at the
-	// queue sizes cells actually reach — one pending event per simulated
-	// rank or thread, so hundreds of entries on 16-node machines. If the queue
-	// grows past arrayModeMax it is heapified (4-ary min-heap over heap[0:])
-	// and converts back once it drains to arrayModeLowWater. Pop order is
-	// the total order (t, born, seq) either way.
+	// comparisons, and inserts gallop from that minimum end, bisect the
+	// bracket, and shift whichever side is shorter (the slack below lo
+	// makes a far-future insert, which lands at the front, an O(shift of
+	// the few events beyond it) move instead of a whole-array memmove).
+	// This beats heap sifting at the queue sizes cells actually reach —
+	// one pending event per simulated rank or thread, so hundreds of
+	// entries on 16-node machines. If the queue grows past arrayModeMax it
+	// is heapified (4-ary min-heap over heap[0:]) and converts back once it
+	// drains to arrayModeLowWater. Pop order is the total order
+	// (t, born, seq) either way.
 	heap      []event
 	lo        int // array mode: first live entry of the gap buffer
 	arrayMode bool

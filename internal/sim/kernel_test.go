@@ -68,9 +68,10 @@ func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 // pushes and pops with heavy timestamp collisions. Callbacks schedule with
 // ScheduleAsOf, mostly at a born before now, and some far into the future,
 // while the queue grows past arrayModeMax and drains below
-// arrayModeLowWater three times, so the galloping array insert, the heapify and
-// the low-water re-sort all run. Every insert orders after the event that
-// made it, so the recorded (t, born, seq) keys must fire strictly sorted.
+// arrayModeLowWater three times, so the galloping array insert, the
+// heapify and the low-water re-sort all run. Every insert orders after the
+// event that made it, so the recorded (t, born, seq) keys must fire
+// strictly sorted.
 func TestHeapStressOrdering(t *testing.T) {
 	e := NewEngine(99)
 	rng := rand.New(rand.NewSource(99))
