@@ -70,9 +70,10 @@ type lockState struct {
 // waiter registers a poller, and its pending retries are replayed in virtual-
 // timestamp order whenever something observes the port (a real RMA arrival)
 // or the lock state (an unlock, or the wake chain below). Timing, attempt
-// counts and acquisition order are identical to the literal protocol; only
-// the host-event count changes. DESIGN.md §3 gives the equivalence
-// argument.
+// counts and acquisition order are identical to the literal protocol
+// except where a poll step ties another event's (time, scheduling-time)
+// key exactly; only the host-event count changes. DESIGN.md §3 gives the
+// equivalence argument and the tie rule.
 type rmaPort struct {
 	srv sim.Server
 	// Pending poll steps wait in two queues, each sorted by the key
