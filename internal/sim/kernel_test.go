@@ -68,10 +68,10 @@ func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 // pushes and pops with heavy timestamp collisions. Callbacks schedule with
 // ScheduleAsOf, mostly at a born before now, and some far into the future,
 // while the queue grows past arrayModeMax and drains below
-// arrayModeLowWater three times, so the galloping array insert, the
-// heapify and the low-water re-sort all run. Every insert orders after the
-// event that made it, so the recorded (t, born, seq) keys must fire
-// strictly sorted.
+// arrayModeLowWater three times, so the array insert, the heapify and the
+// low-water re-sort all run. Every insert orders after the event that made
+// it, so the recorded (t, born, seq) keys must fire strictly sorted, and
+// every scheduled event must fire.
 func TestHeapStressOrdering(t *testing.T) {
 	e := NewEngine(99)
 	rng := rand.New(rand.NewSource(99))
@@ -80,6 +80,7 @@ func TestHeapStressOrdering(t *testing.T) {
 		seq     uint32
 	}
 	var fired []key
+	scheduled := 0
 	size := func() int {
 		n := len(e.heap) - e.lo
 		if e.nextSet {
@@ -92,6 +93,7 @@ func TestHeapStressOrdering(t *testing.T) {
 	var schedule func(at, born Time)
 	schedule = func(at, born Time) {
 		k := &key{t: max(at, e.now), born: born}
+		scheduled++
 		e.ScheduleAsOf(at, born, func() {
 			fired = append(fired, *k)
 			if e.arrayMode != wasArray {
@@ -142,8 +144,8 @@ func TestHeapStressOrdering(t *testing.T) {
 			t.Fatalf("event %d fired %+v after %+v", i, b, a)
 		}
 	}
-	if len(fired) < 5000 {
-		t.Fatalf("only %d events fired", len(fired))
+	if len(fired) != scheduled {
+		t.Fatalf("fired %d events, want %d", len(fired), scheduled)
 	}
 }
 
