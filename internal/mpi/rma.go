@@ -95,9 +95,8 @@ type rmaPort struct {
 	byReg []*poller
 	// hom is true while every registered poller targets one (win, target)
 	// pair — the common shape (a node's ranks all contend for the one local
-	// queue lock) — letting reconcilePort skip the whole walk: with that
-	// lock exclusively held nothing can be armed, and with it free the walk
-	// would end at the earliest pending step.
+	// queue lock) — letting reconcilePort skip the whole walk with a single
+	// lock-word check when that lock is exclusively held.
 	hom bool
 	// reg is the monotone registration counter behind the tie-break
 	// (32-bit with a wrap guard).
@@ -369,26 +368,11 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 // advance and reconcile again.
 func (w *World) reconcilePort(node int) {
 	pt := w.memPort[node]
-	if pt.hom && len(pt.byReg) > 0 {
-		pl := pt.byReg[0]
-		ls := &pl.win.locks[pl.target]
-		// Every parked poller contends for this one lock. Held exclusively,
-		// it lets no poller acquire it: the walk below would arm nothing.
-		if ls.excl {
-			return
-		}
-		// Free, it lets every poller acquire it: the walk would end with
-		// the mark at the earliest pending step — the smaller queue head —
-		// and arm it once if that improved the mark.
-		if ls.readers == 0 {
-			k, _ := pt.next()
-			if ls.wakeSet && (ls.wakeAt < k.at || (ls.wakeAt == k.at && ls.wakeBorn <= k.born)) {
-				return
-			}
-			ls.wakeAt, ls.wakeBorn, ls.wakeSet = k.at, k.born, true
-			w.scheduleWake(node, pl.win, pl.target, k.at, k.born)
-			return
-		}
+	// Fast path: when every parked poller contends for the same lock and
+	// that lock is exclusively held, no poller can acquire it — the walk
+	// below would arm nothing. One lock-word load replaces the scan.
+	if pt.hom && len(pt.byReg) > 0 && pt.byReg[0].win.locks[pt.byReg[0].target].excl {
+		return
 	}
 	// Walk in registration order — the literal scan order — improving each
 	// lock's covering mark, then arm one wake per improved lock at its final

@@ -83,16 +83,15 @@ type Engine struct {
 	// heap holds the queued events in one of two layouts: while at most
 	// arrayModeMax entries (arrayMode), a descending-sorted gap buffer —
 	// the live window is heap[lo:], pops take the last element with zero
-	// comparisons, and inserts gallop from that minimum end, bisect the
-	// bracket, and shift whichever side is shorter (the slack below lo
-	// makes a far-future insert, which lands at the front, an O(shift of
-	// the few events beyond it) move instead of a whole-array memmove).
-	// This beats heap sifting at the queue sizes cells actually reach —
-	// one pending event per simulated rank or thread, so hundreds of
-	// entries on 16-node machines. If the queue grows past arrayModeMax it
-	// is heapified (4-ary min-heap over heap[0:]) and converts back once it
-	// drains to arrayModeLowWater. Pop order is the total order
-	// (t, born, seq) either way.
+	// comparisons, and inserts binary-search the window and shift whichever
+	// side is shorter (the slack below lo makes a far-future insert, which
+	// lands at the front, an O(shift of the few events beyond it) move
+	// instead of a whole-array memmove). This beats heap sifting at the
+	// queue sizes cells actually reach — one pending event per simulated
+	// rank or thread, so hundreds of entries on 16-node machines. If the queue
+	// grows past arrayModeMax it is heapified (4-ary min-heap over heap[0:])
+	// and converts back once it drains to arrayModeLowWater. Pop order is
+	// the total order (t, born, seq) either way.
 	heap      []event
 	lo        int // array mode: first live entry of the gap buffer
 	arrayMode bool
@@ -256,10 +255,9 @@ func (e *Engine) push(ev event) {
 // memmove too much and the queue switches to the heap layout. The bound is
 // sized for large-P sweeps: a P-rank cell keeps roughly one pending event
 // per rank, so 16 nodes × 16 ranks (plus wake-chain marks) still fits the
-// array layout, where pops are free and inserts gallop from the minimum
-// end and shift the shorter side. Genuinely huge queues (the opt-in
-// 64-node stress cells and beyond) spill into the heap, whose O(log n)
-// costs are the safe asymptotic fallback.
+// array layout, where pops are free and inserts are short tail memmoves.
+// Genuinely huge queues (the opt-in 64-node stress cells and beyond) spill
+// into the heap, whose O(log n) costs are the safe asymptotic fallback.
 const arrayModeMax = 1024
 
 // arrayModeLowWater is the size at which a heap-mode queue converts back to
@@ -320,20 +318,7 @@ func (e *Engine) pushHeap(ev event) {
 	if e.arrayMode {
 		if len(e.heap)-e.lo < arrayModeMax {
 			h := e.heap
-			// Gallop from the minimum end, probing 1, 2, 4, … entries in:
-			// most inserts land a few entries from it (a continuation due
-			// soon after the events already pending), so the bracket the
-			// bisection below searches is short. Entries from hi on fire
-			// before ev; entries before lo fire after it.
-			n := len(h)
-			lo, hi := e.lo, n
-			for d := 1; n-d >= e.lo; d <<= 1 {
-				if !eventLess(&h[n-d], &ev) {
-					lo = n - d + 1
-					break
-				}
-				hi = n - d
-			}
+			lo, hi := e.lo, len(h)
 			for lo < hi {
 				mid := int(uint(lo+hi) >> 1)
 				if eventLess(&h[mid], &ev) {
@@ -345,6 +330,7 @@ func (e *Engine) pushHeap(ev event) {
 			// Insert before index lo, shifting whichever side is shorter:
 			// soon events shift the tail, far-future events shift the few
 			// entries ahead of them into the front gap.
+			n := len(h)
 			if lo-e.lo < n-lo {
 				if e.lo == 0 {
 					e.frontGap()
