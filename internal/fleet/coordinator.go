@@ -365,17 +365,18 @@ type cellWork struct {
 // merge reassembles per-cell lines into strict sweep order: deliver is
 // first-wins per cell (a timed-out shard and its retry may both resolve a
 // cell — with identical bytes, since summaries are pure functions of the
-// config), wait blocks until cell i resolves or ctx cancels.
+// config), line reports a resolved cell without blocking, and wait blocks
+// until cell i resolves or ctx cancels.
 type merge struct {
 	mu    sync.Mutex
 	lines [][]byte
-	ready []chan struct{}
+	done  []chan struct{}
 }
 
 func newMerge(n int) *merge {
-	m := &merge{lines: make([][]byte, n), ready: make([]chan struct{}, n)}
-	for i := range m.ready {
-		m.ready[i] = make(chan struct{})
+	m := &merge{lines: make([][]byte, n), done: make([]chan struct{}, n)}
+	for i := range m.done {
+		m.done[i] = make(chan struct{})
 	}
 	return m
 }
@@ -387,16 +388,23 @@ func (m *merge) deliver(i int, line []byte) bool {
 		return false
 	}
 	m.lines[i] = line
-	close(m.ready[i])
+	close(m.done[i])
 	return true
 }
 
+func (m *merge) line(i int) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.lines[i]
+}
+
+// wait is StreamLines' blocking half: the stream loop calls it only after
+// line(i) found the cell unresolved, so the select is armed only when the
+// merge actually waits.
 func (m *merge) wait(ctx context.Context, i int) ([]byte, error) {
 	select {
-	case <-m.ready[i]:
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		return m.lines[i], nil
+	case <-m.done[i]:
+		return m.line(i), nil
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
@@ -507,18 +515,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer wg.Wait()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	for i := range work {
-		line, err := mg.wait(r.Context(), i)
-		if err != nil {
-			return // client went away
-		}
-		w.Write(line)
-		w.Write([]byte{'\n'})
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
+	// The same loop as a single daemon's stream: it flushes only before it
+	// waits for a cell. An error means the client went away.
+	serve.StreamLines(r.Context(), w, len(work), mg.line, mg.wait)
 }
 
 // dispatch runs one shard attempt against worker wi and recursively

@@ -213,11 +213,16 @@ func (j *Job) CacheCounts() CacheCounts {
 }
 
 // WaitCell blocks until cell idx's line is available or ctx is canceled.
-// Streamers call it in index order, so results flow to the client as the
-// head-of-line cell completes while later cells are still running.
+// A completed cell returns at once; only a cell still running arms the
+// cancellation wakeup and parks. Streamers call it in index order (see
+// StreamLines), so results flow to the client as the head-of-line cell
+// completes while later cells are still running.
 func (j *Job) WaitCell(ctx context.Context, idx int) ([]byte, error) {
 	if idx < 0 || idx >= len(j.cells) {
 		return nil, fmt.Errorf("serve: cell %d out of range", idx)
+	}
+	if line := j.line(idx); line != nil {
+		return line, nil
 	}
 	// The wakeup must take j.mu before broadcasting: a bare Broadcast could
 	// fire in the window between a waiter's ctx check and its cond.Wait,
@@ -240,6 +245,13 @@ func (j *Job) WaitCell(ctx context.Context, idx int) ([]byte, error) {
 		j.cond.Wait()
 	}
 	return j.lines[idx], nil
+}
+
+// line returns cell idx's frozen line if the cell has completed, else nil.
+func (j *Job) line(idx int) []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.lines[idx]
 }
 
 // Manager owns the bounded worker pool that executes cells, the job

@@ -654,26 +654,55 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	s.streamJob(w, r, job)
 }
 
-// streamJob writes the job's cells as NDJSON in index order, flushing each
-// line as its cell completes. Index order makes the whole body a pure
-// function of the cell list: re-running an identical sweep — cached or not
-// — yields byte-identical output, while the head-of-line discipline still
-// delivers early cells long before the sweep finishes.
+// streamJob writes the job's cells as NDJSON in index order through
+// StreamLines: lines already complete go out back to back, and the stream
+// flushes only before it waits for a cell. Index order makes the whole
+// body a pure function of the cell list: re-running an identical sweep —
+// cached or not — yields byte-identical output, while the head-of-line
+// discipline still delivers early cells long before the sweep finishes.
 func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, job *Job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Job-Id", job.ID)
+	// An error means the client went away; workers finish the job regardless.
+	StreamLines(r.Context(), w, job.Cells(), job.line, job.WaitCell)
+}
+
+// newline ends every streamed NDJSON line.
+var newline = []byte{'\n'}
+
+// StreamLines writes lines 0..n-1 to w in index order, each followed by a
+// newline: the response loop of every NDJSON sweep stream, the fleet
+// coordinator's merged stream included. ready(i) returns line i if it is
+// already complete and nil otherwise; wait(ctx, i) blocks until line i is
+// complete or ctx ends, and its error ends the stream.
+//
+// The loop flushes only just before it blocks, and the handler's return
+// flushes the tail. Lines that are complete are written back to back, so
+// a replayed sweep whose lines are all ready costs a few buffer-sized
+// writes instead of one chunk and one write per line. No line waits on a
+// cell behind it: every line written before the stream stalls is flushed
+// before the stall.
+func StreamLines(ctx context.Context, w http.ResponseWriter, n int,
+	ready func(i int) []byte, wait func(ctx context.Context, i int) ([]byte, error)) error {
 	flusher, _ := w.(http.Flusher)
-	for i := 0; i < job.Cells(); i++ {
-		line, err := job.WaitCell(r.Context(), i)
-		if err != nil {
-			return // client went away; workers finish the job regardless
+	unflushed := false
+	for i := 0; i < n; i++ {
+		line := ready(i)
+		if line == nil {
+			if unflushed && flusher != nil {
+				flusher.Flush()
+				unflushed = false
+			}
+			var err error
+			if line, err = wait(ctx, i); err != nil {
+				return err
+			}
 		}
 		w.Write(line)
-		w.Write([]byte{'\n'})
-		if flusher != nil {
-			flusher.Flush()
-		}
+		w.Write(newline)
+		unflushed = true
 	}
+	return nil
 }
 
 // techniqueInfo is one /v1/techniques row.
