@@ -81,14 +81,27 @@ func (t Technique) String() string {
 	return fmt.Sprintf("Technique(%d)", int(t))
 }
 
+// techniqueByKey maps each technique's parseKey to the technique. Built
+// once: every decoded "inter" and "intra" field is a lookup here.
+var techniqueByKey = func() map[string]Technique {
+	m := make(map[string]Technique, len(techniqueNames))
+	for t, s := range techniqueNames {
+		m[parseKey(s)] = t
+	}
+	return m
+}()
+
+// parseKey normalizes a technique name for Parse: trimmed, dashes
+// removed, upper-cased.
+func parseKey(name string) string {
+	return strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(name), "-", ""))
+}
+
 // Parse maps a technique name (case-insensitive, "AWF-B"/"AWFB" both
 // accepted) back to its Technique value.
 func Parse(name string) (Technique, error) {
-	n := strings.ToUpper(strings.ReplaceAll(strings.TrimSpace(name), "-", ""))
-	for t, s := range techniqueNames {
-		if strings.ReplaceAll(s, "-", "") == n {
-			return t, nil
-		}
+	if t, ok := techniqueByKey[parseKey(name)]; ok {
+		return t, nil
 	}
 	return 0, fmt.Errorf("dls: unknown technique %q", name)
 }

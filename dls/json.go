@@ -1,28 +1,30 @@
 package dls
 
 import (
-	"encoding/json"
 	"fmt"
+
+	"repro/internal/jsonenum"
 )
 
 // MarshalJSON encodes the technique as its conventional name (e.g.
 // "FAC2", "AWF-B"), the form the hdlsd service API and sweep snapshots
-// use. Unknown values error rather than emitting a bare integer.
+// use. The name is quoted directly, without a nested json.Marshal.
+// Unknown values error rather than emitting a bare integer.
 func (t Technique) MarshalJSON() ([]byte, error) {
-	if _, ok := techniqueNames[t]; !ok {
+	s, ok := techniqueNames[t]
+	if !ok {
 		return nil, fmt.Errorf("dls: cannot marshal unknown technique %d", int(t))
 	}
-	return json.Marshal(t.String())
+	return jsonenum.Marshal(s), nil
 }
 
 // UnmarshalJSON decodes a technique from its name via Parse
-// (case-insensitive, dashes optional: "fac2", "AWF-B", "awfb").
+// (case-insensitive, dashes optional: "fac2", "AWF-B", "awfb"). A plain
+// quoted name goes straight to Parse; escaped strings, null and
+// non-strings are decoded by json.Unmarshal first, so every input keeps
+// the same result and error text.
 func (t *Technique) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("dls: technique must be a JSON string: %w", err)
-	}
-	v, err := Parse(s)
+	v, err := jsonenum.Unmarshal(data, "dls: technique", Parse)
 	if err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/jsonenum"
 )
 
 // Summary is the compact per-cell outcome returned by RunSummary: scalars
@@ -21,22 +22,22 @@ type Summary = core.Summary
 // …) to its Approach value, case-insensitively.
 func ParseApproach(s string) (Approach, error) { return core.ParseApproach(s) }
 
-// MarshalJSON encodes the application as its name ("Mandelbrot", "PSIA").
+// MarshalJSON encodes the application as its name ("Mandelbrot",
+// "PSIA"), quoted directly without a nested json.Marshal.
 func (a App) MarshalJSON() ([]byte, error) {
 	switch a {
 	case Mandelbrot, PSIA:
-		return json.Marshal(a.String())
+		return jsonenum.Marshal(a.String()), nil
 	}
 	return nil, fmt.Errorf("hdls: cannot marshal unknown app %d", int(a))
 }
 
-// UnmarshalJSON decodes an application from any spelling ParseApp accepts.
+// UnmarshalJSON decodes an application from any spelling ParseApp
+// accepts. A plain quoted name goes straight to ParseApp; escaped strings,
+// null and non-strings are decoded by json.Unmarshal first, so every input
+// keeps the same result and error text.
 func (a *App) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("hdls: app must be a JSON string: %w", err)
-	}
-	v, err := ParseApp(s)
+	v, err := jsonenum.Unmarshal(data, "hdls: app", ParseApp)
 	if err != nil {
 		return err
 	}
@@ -64,15 +65,18 @@ func (c Config) Canonical() Config {
 // costs), so two configs with different in-memory profiles never collide.
 func (c Config) Hash() string {
 	canon := c.Canonical()
-	h := sha256.New()
 	buf, err := json.Marshal(canon)
 	if err != nil {
 		// Only unknown enum values can fail to marshal; make the hash
 		// reflect the raw values rather than masking the bad config.
-		fmt.Fprintf(h, "unmarshalable:%#v", canon)
+		buf = fmt.Appendf(nil, "unmarshalable:%#v", canon)
 	}
-	h.Write(buf)
-	if canon.Profile != nil {
+	var sum [sha256.Size]byte
+	if canon.Profile == nil {
+		sum = sha256.Sum256(buf)
+	} else {
+		h := sha256.New()
+		h.Write(buf)
 		h.Write([]byte{0})
 		h.Write([]byte(canon.Profile.Name()))
 		h.Write([]byte{0})
@@ -81,8 +85,11 @@ func (c Config) Hash() string {
 			binary.LittleEndian.PutUint64(w[:], math.Float64bits(cost))
 			h.Write(w[:])
 		}
+		h.Sum(sum[:0])
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	var digits [2 * sha256.Size]byte
+	hex.Encode(digits[:], sum[:])
+	return string(digits[:])
 }
 
 // HashKey returns the first eight bytes of Hash as a big-endian uint64: a

@@ -1,9 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
+
+	"repro/internal/jsonenum"
 )
 
 // approachSeparators strips the separators ParseApproach ignores. Built
@@ -28,22 +29,22 @@ func ParseApproach(s string) (Approach, error) {
 }
 
 // MarshalJSON encodes the approach as its display name ("MPI+MPI",
-// "MPI+OpenMP", "MPI+OpenMP(nowait)").
+// "MPI+OpenMP", "MPI+OpenMP(nowait)"), quoted directly without a nested
+// json.Marshal.
 func (a Approach) MarshalJSON() ([]byte, error) {
 	switch a {
 	case MPIMPI, MPIOpenMP, MPIOpenMPNoWait:
-		return json.Marshal(a.String())
+		return jsonenum.Marshal(a.String()), nil
 	}
 	return nil, fmt.Errorf("core: cannot marshal unknown approach %d", int(a))
 }
 
-// UnmarshalJSON decodes an approach from any spelling ParseApproach accepts.
+// UnmarshalJSON decodes an approach from any spelling ParseApproach
+// accepts. A plain quoted name goes straight to ParseApproach; escaped
+// strings, null and non-strings are decoded by json.Unmarshal first, so
+// every input keeps the same result and error text.
 func (a *Approach) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return fmt.Errorf("core: approach must be a JSON string: %w", err)
-	}
-	v, err := ParseApproach(s)
+	v, err := jsonenum.Unmarshal(data, "core: approach", ParseApproach)
 	if err != nil {
 		return err
 	}

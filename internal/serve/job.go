@@ -764,13 +764,32 @@ func (m *Manager) runCell(task cellTask) {
 	task.job.complete(task.idx, cellLine(task.idx, hash, body), false, outcome)
 }
 
+// lineRoom is the room a cell line needs beyond its hash and payload: the
+// fixed keys, the longest index, and the hash's quotes.
+const lineRoom = len(`{"index":,"hash":"","summary":}`) + len("-9223372036854775808")
+
+// appendLineHead appends the frozen head of a cell line,
+// {"index":<idx>,"hash":<quoted hash>,"<field>":, to dst. The bytes equal
+// fmt's %d and %q: strconv.AppendQuote is what %q runs on a string.
+func appendLineHead(dst []byte, idx int, hash, field string) []byte {
+	dst = append(dst, `{"index":`...)
+	dst = strconv.AppendInt(dst, int64(idx), 10)
+	dst = append(dst, `,"hash":`...)
+	dst = strconv.AppendQuote(dst, hash)
+	dst = append(dst, `,"`...)
+	dst = append(dst, field...)
+	return append(dst, `":`...)
+}
+
 // cellLine composes the per-cell NDJSON line around the cached summary
-// bytes. Index and hash are deterministic, so the line is a pure function
-// of the cell config. The fleet coordinator (internal/fleet) rebuilds
-// exactly these bytes around worker-streamed summaries, which is what makes
-// a merged fleet response byte-identical to a single daemon's.
+// bytes, in one buffer sized up front. Index and hash are deterministic,
+// so the line is a pure function of the cell config. The fleet
+// coordinator (internal/fleet) rebuilds exactly these bytes around
+// worker-streamed summaries, which is what makes a merged fleet response
+// byte-identical to a single daemon's.
 func cellLine(idx int, hash string, summaryJSON []byte) []byte {
-	line := fmt.Appendf(nil, `{"index":%d,"hash":%q,"summary":`, idx, hash)
+	line := make([]byte, 0, lineRoom+len(hash)+len(summaryJSON))
+	line = appendLineHead(line, idx, hash, "summary")
 	line = append(line, summaryJSON...)
 	return append(line, '}')
 }
@@ -782,9 +801,13 @@ func CellLine(idx int, hash string, summaryJSON []byte) []byte {
 }
 
 // errorLine composes the per-cell NDJSON error line — the failure
-// counterpart of cellLine, same frozen layout discipline.
+// counterpart of cellLine, same frozen layout discipline, the message
+// quoted like fmt's %q.
 func errorLine(idx int, hash, msg string) []byte {
-	return fmt.Appendf(nil, `{"index":%d,"hash":%q,"error":%q}`, idx, hash, msg)
+	line := make([]byte, 0, lineRoom+len(hash)+len(msg))
+	line = appendLineHead(line, idx, hash, "error")
+	line = strconv.AppendQuote(line, msg)
+	return append(line, '}')
 }
 
 // ErrorCellLine exposes the frozen NDJSON error-line layout to the fleet

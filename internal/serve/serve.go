@@ -460,7 +460,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// after validation — an internal fault, except for a deadline expiry,
 	// which is the client's own bound and maps to 504 (non-retryable:
 	// a passed deadline will not un-pass).
-	prefix := fmt.Appendf(nil, `{"index":0,"hash":%q,"summary":`, hash)
+	prefix := appendLineHead(nil, 0, hash, "summary")
 	if !bytes.HasPrefix(line, prefix) {
 		status := http.StatusInternalServerError
 		if bytes.Contains(line, []byte(`"error":"`+deadlineExceededMsg+`"`)) {
