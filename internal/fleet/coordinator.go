@@ -469,13 +469,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithCancel(r.Context())
 	defer cancel()
 
+	// One hash per cell: the routing key is the hash's leading bytes, so
+	// HashKeyOf recovers it instead of HashKey hashing the cell again.
 	work := make([]*cellWork, len(req.Cells))
 	for i, cfg := range req.Cells {
+		hash := cfg.Hash()
 		work[i] = &cellWork{
 			index: i,
 			cfg:   cfg,
-			hash:  cfg.Hash(),
-			succ:  c.ring.Successors(cfg.HashKey()),
+			hash:  hash,
+			succ:  c.ring.Successors(hdls.HashKeyOf(hash)),
 		}
 	}
 	// Initial placement: each cell goes to its ring home unless that home's
