@@ -51,7 +51,6 @@ func TestFleetStreamFlushesBeforeBlocking(t *testing.T) {
 	cells := []hdls.Config{fleetCell(1), fleetCell(2)}
 	gate := make(chan struct{})
 	var release sync.Once
-	t.Cleanup(func() { release.Do(func() { close(gate) }) })
 	fake := shardServer(t, func(w http.ResponseWriter, shard []hdls.Config, r *http.Request) {
 		for i, c := range shard {
 			if i == 1 {
@@ -67,32 +66,48 @@ func TestFleetStreamFlushesBeforeBlocking(t *testing.T) {
 	})
 	t.Cleanup(fake.Close)
 	_, ts, _ := newCoordinator(t, []string{fake.URL}, nil)
+	// Registered last so it runs first: the servers' Close waits for the
+	// held request.
+	t.Cleanup(func() { release.Do(func() { close(gate) }) })
 
+	// The request runs in the background: with nothing flushed, even the
+	// response headers would never arrive.
 	body, err := json.Marshal(map[string]any{"cells": cells})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	type firstLine struct {
+		resp *http.Response
+		br   *bufio.Reader
+		line []byte
+		err  error
 	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	first := make(chan []byte, 1)
+	first := make(chan firstLine, 1)
 	go func() {
-		line, _ := br.ReadBytes('\n')
-		first <- line
-	}()
-	select {
-	case line := <-first:
-		if want := fakeLine(0, cells[0]); !bytes.Equal(line, want) {
-			t.Fatalf("first merged line %q, want %q", line, want)
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(body))
+		if err != nil {
+			first <- firstLine{err: err}
+			return
 		}
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		first <- firstLine{resp: resp, br: br, line: line, err: err}
+	}()
+	var fl firstLine
+	select {
+	case fl = <-first:
 	case <-time.After(10 * time.Second):
 		t.Fatal("line 0 did not reach the client while cell 1 was held")
 	}
+	if fl.err != nil {
+		t.Fatal(fl.err)
+	}
+	defer fl.resp.Body.Close()
+	if want := fakeLine(0, cells[0]); !bytes.Equal(fl.line, want) {
+		t.Fatalf("first merged line %q, want %q", fl.line, want)
+	}
 	release.Do(func() { close(gate) })
-	rest, err := io.ReadAll(br)
+	rest, err := io.ReadAll(fl.br)
 	if err != nil {
 		t.Fatal(err)
 	}

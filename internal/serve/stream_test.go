@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -50,6 +51,37 @@ func waitUntil(cond func() bool) bool {
 	return true
 }
 
+// firstLine is a streamed response and its first line, as read by
+// readFirstLine.
+type firstLine struct {
+	resp *http.Response
+	br   *bufio.Reader
+	line []byte
+	err  error
+}
+
+// readFirstLine POSTs body as JSON to url in the background and delivers
+// the response with its first line read.
+func readFirstLine(url string, body any) <-chan firstLine {
+	out := make(chan firstLine, 1)
+	go func() {
+		buf, err := json.Marshal(body)
+		if err != nil {
+			out <- firstLine{err: err}
+			return
+		}
+		resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+		if err != nil {
+			out <- firstLine{err: err}
+			return
+		}
+		br := bufio.NewReader(resp.Body)
+		line, err := br.ReadBytes('\n')
+		out <- firstLine{resp: resp, br: br, line: line, err: err}
+	}()
+	return out
+}
+
 // TestStreamFlushesBeforeBlocking holds cell 1 of a 2-cell sweep in the
 // store's peer probe and requires line 0 to reach the client while cell 1
 // is still held: the stream flushes what it wrote before it waits.
@@ -69,24 +101,24 @@ func TestStreamFlushesBeforeBlocking(t *testing.T) {
 	}})
 	t.Cleanup(func() { release.Do(func() { close(gate) }) })
 
-	resp := postJSON(t, ts.URL+"/v1/sweep?stream=1", map[string]any{"cells": cells})
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	first := make(chan []byte, 1)
-	go func() {
-		line, _ := br.ReadBytes('\n')
-		first <- line
-	}()
+	// The request runs in the background: with nothing flushed, even the
+	// response headers would never arrive.
+	first := readFirstLine(ts.URL+"/v1/sweep?stream=1", map[string]any{"cells": cells})
+	var fl firstLine
 	select {
-	case line := <-first:
-		if got := parseNDJSON(t, line); len(got) != 1 || got[0].Index != 0 || len(got[0].Summary) == 0 {
-			t.Fatalf("first streamed line is not cell 0's result: %s", line)
-		}
+	case fl = <-first:
 	case <-time.After(10 * time.Second):
 		t.Fatal("line 0 did not reach the client while cell 1 was held")
 	}
+	if fl.err != nil {
+		t.Fatal(fl.err)
+	}
+	defer fl.resp.Body.Close()
+	if got := parseNDJSON(t, fl.line); len(got) != 1 || got[0].Index != 0 || len(got[0].Summary) == 0 {
+		t.Fatalf("first streamed line is not cell 0's result: %s", fl.line)
+	}
 	release.Do(func() { close(gate) })
-	rest, err := io.ReadAll(br)
+	rest, err := io.ReadAll(fl.br)
 	if err != nil {
 		t.Fatal(err)
 	}
