@@ -681,7 +681,8 @@ var newline = []byte{'\n'}
 // a replayed sweep whose lines are all ready costs a few buffer-sized
 // writes instead of one chunk and one write per line. No line waits on a
 // cell behind it: every line written before the stream stalls is flushed
-// before the stall.
+// before the stall. A flush that would carry no line is skipped, so the
+// response headers leave with the first line.
 func StreamLines(ctx context.Context, w http.ResponseWriter, n int,
 	ready func(i int) []byte, wait func(ctx context.Context, i int) ([]byte, error)) error {
 	flusher, _ := w.(http.Flusher)
