@@ -42,7 +42,7 @@ func TestAllocGates(t *testing.T) {
 		want float64
 		fn   func() error
 	}{
-		{"Config.Hash", 7, func() error { hash = allocGateCell.Hash(); return nil }},
+		{"Config.Hash", 10, func() error { hash = allocGateCell.Hash(); return nil }},
 		{"json.Unmarshal one Config", 13, func() error { cfg = hdls.Config{}; return json.Unmarshal(js, &cfg) }},
 		{"Technique.MarshalJSON", 1, func() (err error) { out, err = dls.AWFB.MarshalJSON(); return err }},
 		{"Technique.UnmarshalJSON", 1, func() error { return tech.UnmarshalJSON(techName) }},

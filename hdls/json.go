@@ -65,18 +65,15 @@ func (c Config) Canonical() Config {
 // costs), so two configs with different in-memory profiles never collide.
 func (c Config) Hash() string {
 	canon := c.Canonical()
+	h := sha256.New()
 	buf, err := json.Marshal(canon)
 	if err != nil {
 		// Only unknown enum values can fail to marshal; make the hash
 		// reflect the raw values rather than masking the bad config.
-		buf = fmt.Appendf(nil, "unmarshalable:%#v", canon)
+		fmt.Fprintf(h, "unmarshalable:%#v", canon)
 	}
-	var sum [sha256.Size]byte
-	if canon.Profile == nil {
-		sum = sha256.Sum256(buf)
-	} else {
-		h := sha256.New()
-		h.Write(buf)
+	h.Write(buf)
+	if canon.Profile != nil {
 		h.Write([]byte{0})
 		h.Write([]byte(canon.Profile.Name()))
 		h.Write([]byte{0})
@@ -85,11 +82,8 @@ func (c Config) Hash() string {
 			binary.LittleEndian.PutUint64(w[:], math.Float64bits(cost))
 			h.Write(w[:])
 		}
-		h.Sum(sum[:0])
 	}
-	var digits [2 * sha256.Size]byte
-	hex.Encode(digits[:], sum[:])
-	return string(digits[:])
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // HashKey returns the first eight bytes of Hash as a big-endian uint64: a
