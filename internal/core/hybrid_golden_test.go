@@ -9,7 +9,9 @@ import (
 	"testing"
 
 	"repro/dls"
+	"repro/internal/cluster"
 	"repro/internal/perturb"
+	"repro/internal/workload"
 )
 
 var printHybridGolden = flag.Bool("print-hybrid-golden", false,
@@ -30,6 +32,85 @@ var hybridClauses = []hybridClause{
 	{"tss", dls.TSS, 0},
 	{"fac2", dls.FAC2, 0},
 	{"random", dls.RND, 0},
+}
+
+// allInter is every inter-node technique the executors accept (the
+// adaptive AWF/AF family exists only at the dls reference level and is
+// rejected by Config.Validate).
+var allInter = []dls.Technique{
+	dls.STATIC, dls.SS, dls.FSC, dls.GSS, dls.TSS, dls.FAC, dls.FAC2,
+	dls.WF, dls.TFSS, dls.RND,
+}
+
+// fuzzIntra is the intra-level pool (the executors accept a subset of the
+// techniques at the intra level, see intraSupported).
+var fuzzIntra = []dls.Technique{
+	dls.STATIC, dls.SS, dls.FSC, dls.GSS, dls.TSS, dls.FAC, dls.FAC2, dls.TFSS, dls.RND,
+}
+
+// fuzzConfig draws one randomized cell: topology (node count, heterogeneous
+// speeds and core counts), perturbations (noise, transient slowdowns,
+// background load) and workload are all fuzzed. The hybrid goldens draw
+// their machines through it, so changing its draws means regenerating them.
+func fuzzConfig(rng *rand.Rand, inter dls.Technique) Config {
+	nodes := []int{1, 2, 3, 4, 8}[rng.Intn(5)]
+	cl := cluster.MiniHPC(nodes)
+	if rng.Intn(3) == 0 { // heterogeneous speeds, tiled like -speeds
+		pat := [][]float64{{1, 0.5}, {1, 0.45, 2}}[rng.Intn(2)]
+		sp := make([]float64, nodes)
+		for i := range sp {
+			sp[i] = pat[i%len(pat)]
+		}
+		cl.NodeSpeed = sp
+	}
+	if rng.Intn(4) == 0 { // heterogeneous core counts
+		cores := make([]int, nodes)
+		for i := range cores {
+			cores[i] = []int{4, 8, 16}[rng.Intn(3)]
+		}
+		cl.NodeCores = cores
+	}
+	var pc perturb.Config
+	switch rng.Intn(4) {
+	case 0:
+		pc.NoiseCV = []float64{0.1, 0.3, 0.7}[rng.Intn(3)]
+	case 1:
+		pc.SlowdownRate = 50
+		pc.SlowdownFactor = 2 + rng.Float64()*2
+		pc.SlowdownDuration = 0.005
+	case 2:
+		pc.NoiseCV = 0.2
+		pc.BackgroundLoad = []float64{0, rng.Float64() * 0.4}
+	}
+	n := 512 + rng.Intn(4096)
+	var prof *workload.Profile
+	if rng.Intn(2) == 0 {
+		prof = workload.Uniform(n, 20e-6, 60e-6, rng.Int63n(1e6)+1)
+	} else {
+		prof = workload.Gaussian(n, 40e-6, 15e-6, rng.Int63n(1e6)+1)
+	}
+	wpn := []int{1, 2, 4, 8, 16}[rng.Intn(5)]
+	if mc := cl.MaxCores(); wpn > mc {
+		wpn = mc
+	}
+	cfg := Config{
+		Cluster:        cl,
+		WorkersPerNode: wpn,
+		Inter:          inter,
+		Intra:          fuzzIntra[rng.Intn(len(fuzzIntra))],
+		Workload:       prof,
+		Approach:       MPIMPI,
+		Seed:           rng.Int63n(1e6) + 1,
+		Perturb:        pc,
+		CollectTrace:   true,
+	}
+	if ap := rng.Intn(4); ap < 2 {
+		cfg.Approach = []Approach{MPIOpenMP, MPIOpenMPNoWait}[ap]
+		cfg.ExtendedRuntime = true // admit the TSS/FAC2/RANDOM clauses too
+		omp := []dls.Technique{dls.STATIC, dls.SS, dls.GSS, dls.TSS, dls.FAC2, dls.RND}
+		cfg.Intra = omp[rng.Intn(len(omp))]
+	}
+	return cfg
 }
 
 // hybridGoldenCells returns the frozen hybrid cells: machines drawn by

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -31,6 +32,12 @@ const (
 	entStep
 	entOrig
 )
+
+// lastRunPushes records the main engine's queue-insertion count of the most
+// recent MPI+MPI run, for TestEventCensus: wall-clock comparisons drown in
+// host noise, but the number of engine events a cell costs is deterministic
+// per configuration.
+var lastRunPushes atomic.Uint64
 
 // runMPIMPI executes the proposed hierarchical MPI+MPI approach: one MPI
 // rank per core, a shared local work queue per node, distributed chunk
@@ -145,9 +152,9 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		start = release
 		if a < b {
 			d := r.ComputeCost(h.prof.Range(a, b))
-			eng.AbsorbAsOf(release+d, release, execEnd)
+			eng.ScheduleAsOf(release+d, release, execEnd)
 		} else {
-			eng.AbsorbAsOf(release, release, execEnd)
+			eng.ScheduleAsOf(release, release, execEnd)
 		}
 	}
 	// exitCont runs at the unlock release on the queue-drained path — where
@@ -220,7 +227,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		}
 		size = inter.Chunk(int(step), requester)
 		now := eng.Now()
-		eng.AbsorbAsOf(now+cc, now, fopCalc)
+		eng.ScheduleAsOf(now+cc, now, fopCalc)
 	}
 	// refill runs stage 2 holding the queue lock — two atomics on the
 	// global window — starting at the literal Sync wake position.
@@ -251,7 +258,7 @@ func (h *harness) mpimpiWorker(r *mpi.Rank, gw, lw *mpi.Win, w int, inter interS
 		// Queue empty, not done: this worker refills from the global queue,
 		// resuming at the literal Sync wake.
 		now := r.Now()
-		eng.AbsorbAsOf(now+ws, now, refill)
+		eng.ScheduleAsOf(now+ws, now, refill)
 	}
 
 	lockCont = lw.NewLockCont(r, 0, mpi.LockExclusive, granted)

@@ -118,7 +118,7 @@ func (h *harness) mpiopenmpRank(r *mpi.Rank, gw *mpi.Win, team *openmp.Team, kin
 	stepped := func(step int64) {
 		size = inter.Chunk(int(step), node)
 		now := eng.Now()
-		eng.AbsorbAsOf(now+c.ChunkCalcCost, now, calculated)
+		eng.ScheduleAsOf(now+c.ChunkCalcCost, now, calculated)
 	}
 	next = func() {
 		schedT0 = eng.Now()
@@ -220,7 +220,7 @@ func (h *harness) nowaitNode(r *mpi.Rank, gw *mpi.Win, inter interSched, done fu
 	stepped := func(step int64) {
 		size = inter.Chunk(int(step), node)
 		now := eng.Now()
-		eng.AbsorbAsOf(now+c.ChunkCalcCost, now, calculated)
+		eng.ScheduleAsOf(now+c.ChunkCalcCost, now, calculated)
 	}
 	refill := func() { fop(0, gwStep, 1, stepped) }
 

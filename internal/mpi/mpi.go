@@ -50,12 +50,6 @@ type World struct {
 	// wakeFree pools wake-chain records (rma.go) so re-arming allocates
 	// nothing in steady state.
 	wakeFree *wakeRec
-
-	// inlineGrants collects lock grants that advancePort resolved at exactly
-	// the running wake event's position; the wake runs them after
-	// reconciliation, replacing the same-key grant events the literal
-	// protocol would have fired immediately afterwards (DESIGN.md §11).
-	inlineGrants []func()
 }
 
 // NewWorld creates up to ranksPerNode ranks on each node of cfg: node n
@@ -139,7 +133,6 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 		w.nodeOff[n] = size
 		size += k
 	}
-	w.inlineGrants = w.inlineGrants[:0]
 	w.ranks = resizeSlice(w.ranks, size)
 	worldRanks := make([]int, size)
 	for n := 0; n < cfg.Nodes; n++ {
@@ -225,9 +218,6 @@ func (w *World) MemPortBusy(n int) sim.Time { return w.memPort[n].srv.BusyTime()
 // completion. start builds the rank's event-driven state machine (the *Cont
 // APIs) and returns; the run spawns no goroutines.
 func (w *World) Launch(start func(*Rank)) error {
-	// The literal A/B runs of the fast-forward differential tests force
-	// every AbsorbAsOf site through the queue.
-	w.eng.SetAbsorb(fastFwd.Load())
 	for _, r := range w.ranks {
 		r := r
 		w.eng.Schedule(0, func() { start(r) })

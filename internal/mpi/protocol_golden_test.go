@@ -91,30 +91,18 @@ func protocolStorm(t testing.TB) string {
 
 // TestProtocolGolden pins the lock protocol's replay on the paths above —
 // every grant time, both windows' attempt and acquisition counts, and the
-// port's busy time — as one digest, with the analytic fast-forward on and
-// off. Regenerate with
+// port's busy time — as one digest. Regenerate with
 // go test ./internal/mpi -run TestProtocolGolden -args -print-protocol-golden
 // only for a change whose output shift is explained.
 func TestProtocolGolden(t *testing.T) {
-	prev := SetFastForward(true)
-	defer SetFastForward(prev)
-	var digests [2]string
-	for i, ff := range []bool{true, false} {
-		SetFastForward(ff)
-		text := protocolStorm(t)
-		sum := sha256.Sum256([]byte(text))
-		digests[i] = hex.EncodeToString(sum[:8])
-		if *printProtocolGolden {
-			fmt.Printf("fast-forward %v: %s\n%s", ff, digests[i], text)
-		}
-	}
-	if digests[0] != digests[1] {
-		t.Fatalf("fast-forward on gives %s, off gives %s", digests[0], digests[1])
-	}
+	text := protocolStorm(t)
+	sum := sha256.Sum256([]byte(text))
+	digest := hex.EncodeToString(sum[:8])
 	if *printProtocolGolden {
+		fmt.Printf("%s\n%s", digest, text)
 		return
 	}
-	if digests[0] != protocolGoldenWant {
-		t.Fatalf("protocol digest = %s, want %s", digests[0], protocolGoldenWant)
+	if digest != protocolGoldenWant {
+		t.Fatalf("protocol digest = %s, want %s", digest, protocolGoldenWant)
 	}
 }

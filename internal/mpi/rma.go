@@ -38,15 +38,6 @@ type lockState struct {
 	excl    bool
 	readers int
 
-	// relsInFlight counts releases that have been issued but not yet applied
-	// to the lock word. While it is zero and the lock is held, the lock can
-	// only become *less* available before any instant a fresh attempt's first
-	// check could land — every release must first arrive at the port and its
-	// service queues behind that in-flight attempt — so the check provably
-	// fails and the analytic fast-forward parks the attempt at issue without
-	// an engine event (see NewLockCont).
-	relsInFlight int
-
 	// Wake-chain bookkeeping for coalesced polling: when the lock is in a
 	// state some parked poller could acquire, (wakeAt, wakeBorn) is the
 	// earliest pending poll decision and an engine event is scheduled at
@@ -105,13 +96,6 @@ type rmaPort struct {
 	// covering mark improved during the current walk, deduplicated.
 	armW []*Win
 	armT []int
-	// checksInFlight counts literal first-check events scheduled on this
-	// port's locks but not yet fired. The analytic fast-forward only parks an
-	// attempt at issue while it is zero: a pending literal check could
-	// register its poller between this issue and its own (later) check
-	// instant, and registration order — which the frozen wake-arming sequence
-	// depends on — must stay the literal check order.
-	checksInFlight int
 }
 
 // pollerKey is one pending poll step: its position and the poller that
@@ -206,7 +190,6 @@ func (pt *rmaPort) reset() {
 	}
 	pt.armW = pt.armW[:0]
 	pt.armT = pt.armT[:0]
-	pt.checksInFlight = 0
 }
 
 // pending reports whether any poll step is registered.
@@ -335,21 +318,7 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// literal check event (scheduled at the attempt's arrival)
 			// would have fired, so everything it schedules next gets the
 			// same relative order as in the literal protocol.
-			//
-			// Analytic fast-forward: when the grant resolves at exactly the
-			// position of the wake event this replay runs in (incl callers
-			// pass their own position), the literal grant event would fire
-			// immediately after the wake completes — nothing can interpose
-			// at the same (time, born) key, since on a homogeneous port no
-			// second wake can cover the same position (reconcilePort never
-			// re-arms an identical one). Collect the continuation instead;
-			// the wake runs it after reconciliation, where eng.Now() and
-			// EventScheduledAt() already equal the grant position.
-			if incl && best.at == t && best.born == bornLimit && pt.hom && fastFwd.Load() {
-				w.inlineGrants = append(w.inlineGrants, best.cont)
-			} else {
-				w.eng.ScheduleAsOf(best.at, best.born, best.cont)
-			}
+			w.eng.ScheduleAsOf(best.at, best.born, best.cont)
 			continue
 		}
 		// Failed: back off PollInterval and retry. The next arrival is the
@@ -450,28 +419,6 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 			advanced := w.advancePort(node, w.eng.Now(), born, true)
 			if cleared || advanced {
 				w.reconcilePort(node)
-				// Grants the replay resolved at this event's own position run
-				// here — after reconciliation, exactly where their literal
-				// same-key grant events fired — in replay order, which is the
-				// order those events would have been scheduled. A grant's
-				// continuation can replay other ports or re-arm this one, but
-				// only exclusive (incl=false) replays, so the list is stable.
-				// Only the last grant is in tail position: the earlier ones
-				// (shared locks granted together) must leave their follow-up
-				// events queued so ordering against the remaining grants stays
-				// with the comparator.
-				eng := w.eng
-				for i := 0; i < len(w.inlineGrants); i++ {
-					g := w.inlineGrants[i]
-					w.inlineGrants[i] = nil
-					if i < len(w.inlineGrants)-1 {
-						eng.WithoutAbsorb(g)
-					} else {
-						g()
-					}
-				}
-				w.inlineGrants = w.inlineGrants[:0]
-				return
 			}
 			// A stale link that replayed nothing cannot have created a new
 			// earliest decision: poll positions only ever move later, every
@@ -583,10 +530,8 @@ func (w *Win) targetNode(target int) int {
 // arranges for cont to run, holding the lock, in an event at the position of
 // the literal check — where a blocking caller would have resumed. Under
 // contention the retry loop runs through the coalesced poller machinery and
-// cont fires at the exact grant position. The issue must be the last action
-// of the calling event (it may run cont inline, see sim.Engine.AbsorbAsOf);
-// the issuer and its closures are allocated once, so steady-state issues are
-// allocation-free.
+// cont fires at the exact grant position. The issuer and its closures are
+// allocated once, so steady-state issues are allocation-free.
 func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	wld := w.world
 	tn := w.targetNode(target)
@@ -597,7 +542,6 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	pt := wld.memPort[tn]
 	eng := wld.eng
 	check := func() {
-		pt.checksInFlight--
 		ls := &w.locks[target]
 		if lockType == LockExclusive {
 			if !ls.excl && ls.readers == 0 {
@@ -633,28 +577,7 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 		now := eng.Now()
 		done := pt.srv.ServeAsync(now, mem.LockAttempt)
 		chk := now + (done - now) // Serve's wake arithmetic, bit for bit
-		if fastFwd.Load() {
-			// Analytic fast-forward: the check at chk provably fails when the
-			// lock is held and no release is in flight — any future release
-			// must arrive at this port and its service queues behind the
-			// attempt just reserved, so the lock word cannot improve before
-			// chk. Park directly in the state the literal failed check would
-			// have left (born = check time, next arrival one back-off later,
-			// one attempt consumed) and skip the check event entirely.
-			ls := &w.locks[target]
-			if ls.relsInFlight == 0 && pt.checksInFlight == 0 &&
-				(ls.excl || (lockType == LockExclusive && ls.readers > 0)) {
-				pl := r.pooledPoller()
-				*pl = poller{
-					win: w, target: target, lockType: lockType, cont: cont,
-					at: chk + mem.PollInterval, born: chk,
-				}
-				pt.pushPoller(pl)
-				return
-			}
-		}
-		pt.checksInFlight++
-		eng.AbsorbAsOf(chk, now, check)
+		eng.ScheduleAsOf(chk, now, check)
 	}
 }
 
@@ -692,7 +615,6 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 			}
 			ls.readers--
 		}
-		ls.relsInFlight--
 		wld.reconcilePort(tn)
 		cont(release)
 	}
@@ -702,12 +624,11 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 		}
 		done := pt.srv.ServeAsync(arrival, wld.cfg.Mem.SharedWinOp)
 		release = arrival + (done - arrival)
-		eng.AbsorbAsOf(release, arrival, releaseFn)
+		eng.ScheduleAsOf(release, arrival, releaseFn)
 	}
 	return func(arr, born sim.Time) {
 		arrival = arr
-		w.locks[target].relsInFlight++
-		eng.AbsorbAsOf(arr, born, arriveFn)
+		eng.ScheduleAsOf(arr, born, arriveFn)
 	}
 }
 
@@ -718,10 +639,9 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 // events at the exact (time, scheduling-time) positions a blocking caller's
 // waits occupied, then atomically adds delta to the word and runs cont(old)
 // inline at the completion event, where that caller resumed. With delta 0
-// it is an atomic read (MPI_NO_OP). The issue must be the last action of
-// the calling event; at most one operation may be in flight per issuer; the
-// issuer and its closures are allocated once, so steady-state issues
-// allocate nothing.
+// it is an atomic read (MPI_NO_OP). At most one operation may be in flight
+// per issuer; the issuer and its closures are allocated once, so
+// steady-state issues allocate nothing.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
 	wld := w.world
 	eng := wld.eng
@@ -738,7 +658,7 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 	}
 	servedRemote := func() {
 		now := eng.Now()
-		eng.AbsorbAsOf(now+net.Latency, now, finish)
+		eng.ScheduleAsOf(now+net.Latency, now, finish)
 	}
 	arriveRemote := func() {
 		tn := w.targetNode(target)
@@ -748,7 +668,7 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 		}
 		now := eng.Now()
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp+net.PortService)
-		eng.AbsorbAsOf(now+(done-now), now, servedRemote)
+		eng.ScheduleAsOf(now+(done-now), now, servedRemote)
 	}
 	return func(t, off int, d int64, c func(int64)) {
 		target, offset, delta, cont = t, off, d, c
@@ -756,7 +676,7 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 		tn := w.targetNode(target)
 		now := eng.Now()
 		if tn != r.node {
-			eng.AbsorbAsOf(now+net.Latency, now, arriveRemote)
+			eng.ScheduleAsOf(now+net.Latency, now, arriveRemote)
 			return
 		}
 		pt := wld.memPort[tn]
@@ -764,7 +684,7 @@ func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, c
 			wld.advancePort(tn, now, eng.EventScheduledAt(), false)
 		}
 		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp)
-		eng.AbsorbAsOf(now+(done-now), now, finish)
+		eng.ScheduleAsOf(now+(done-now), now, finish)
 	}
 }
 

@@ -122,9 +122,6 @@ func NewTeam(eng *sim.Engine, cl *cluster.Config, node, threads int) (*Team, err
 	}, nil
 }
 
-// Threads reports the team size.
-func (t *Team) Threads() int { return t.threads }
-
 // For describes one worksharing loop over [0, N).
 type For struct {
 	N        int
@@ -199,9 +196,7 @@ type thread struct {
 // where the master leaves the loop: at the implicit barrier's release, or,
 // under NoWait, as soon as its own share is done. The master pays the fork
 // overhead, then threads 1..T−1 start as continuation machines and thread 0
-// runs the same chain inline in the master's events. ParallelFor may run
-// the fork inline (see sim.Engine.AbsorbAsOf), so it must be the last
-// action of the calling event.
+// runs the same chain inline in the master's events.
 func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 	if f.N < 0 {
 		panic("openmp: negative loop size")
@@ -228,7 +223,7 @@ func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 		st.sched = dls.MustNew(dls.FAC2, dls.Params{N: f.N, P: t.threads})
 	}
 	now := t.eng.Now()
-	t.eng.AbsorbAsOf(now+t.ForkJoin, now, lp.forkFn)
+	t.eng.ScheduleAsOf(now+t.ForkJoin, now, lp.forkFn)
 }
 
 // newLoop builds a loop object and its threads' machines.

@@ -24,7 +24,6 @@ package perturb
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -285,40 +284,6 @@ func (m *Model) inSlowdown(node int, t sim.Time) bool {
 		}
 	}
 	return lo < len(ivs) && ivs[lo].start <= t
-}
-
-// NextChange returns the earliest virtual time strictly after t at which
-// node's Factor can change: the next transient-slowdown boundary (a window
-// opening or closing). When the factor is provably constant from t onward —
-// no slowdown stream, only background load — it returns +Inf.
-//
-// This is the boundary query behind analytic fast-forward eligibility: a
-// closed-form skip of a node's event chain over [t, u) may treat the node's
-// speed as constant exactly when u ≤ NextChange(node, t). The query extends
-// the node's shared interval stream on demand, so asking about the future
-// is safe and deterministic (the stream is a pure function of the scenario
-// key, per the package's replay contract).
-func (m *Model) NextChange(node int, t sim.Time) sim.Time {
-	if m == nil || m.streams == nil {
-		return sim.Time(math.Inf(1))
-	}
-	s := m.streams[node%len(m.streams)]
-	ivs := s.extendTo(t, m.cfg.SlowdownRate, m.cfg.SlowdownDuration)
-	// First window ending after t (exists: extendTo covers t).
-	lo, hi := 0, len(ivs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ivs[mid].end <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if iv := ivs[lo]; iv.start > t {
-		return iv.start // next change: the window opens
-	} else {
-		return iv.end // inside the window: it closes
-	}
 }
 
 // Intervals returns a copy of node's slowdown windows generated so far

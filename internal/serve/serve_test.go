@@ -470,7 +470,7 @@ func TestDiscoveryAndHealth(t *testing.T) {
 // count-cap eviction until its last reader releases, then get collected
 // on a later janitor tick. Concurrent replay readers hammer WaitCell
 // while the janitor ticks past the TTL, so the race detector covers the
-// pin/evict interaction too (run under -race in CI's fast-forward shard).
+// pin/evict interaction too (run under -race -count=10 in CI's hdlsd job).
 func TestEvictionDefersForInFlightReplay(t *testing.T) {
 	m := NewManager(ManagerConfig{Workers: 2, QueueCapacity: 64, JobTTL: 25 * time.Millisecond, RetainedJobs: 2, Store: newMemStore(t, 16)})
 	t.Cleanup(func() {

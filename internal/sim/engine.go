@@ -11,9 +11,9 @@
 //
 // The hot path is engineered for throughput (see DESIGN.md §2): the event
 // queue is a value-typed min-queue of pointer-free entries (a sorted gap
-// buffer that spills into a 4-ary heap), payloads live in a recycled slot
-// table, and AbsorbAsOf runs an event inline when it is provably the next one
-// to fire.
+// buffer that spills into a 4-ary heap) behind a one-slot front buffer that
+// makes the round trip of an event due before everything queued O(1), and
+// payloads live in a recycled slot table.
 package sim
 
 import (
@@ -111,12 +111,6 @@ type Engine struct {
 	// curBorn is the scheduling time of the event currently being executed
 	// (see EventScheduledAt).
 	curBorn Time
-
-	// absorbDepth is the current nesting depth of inline event absorption
-	// (see AbsorbAsOf); absorbOff suppresses absorption entirely (literal
-	// A/B runs).
-	absorbDepth int
-	absorbOff   bool
 
 	// interrupt, when non-nil, is polled every interruptStride events; once
 	// it reads true the run aborts with ErrInterrupted. The flag is owned by
@@ -450,96 +444,6 @@ func (e *Engine) ScheduleAsOf(t, born Time, fn func()) {
 // After schedules fn to run d after the current virtual time.
 func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
 
-// absorbDepthMax bounds the nesting depth of inline absorption. Each
-// absorbed event runs in the host stack frame of the event that scheduled
-// it, so an unbounded contention-free chain would recurse without limit;
-// past the bound AbsorbAsOf falls back to the queue, the whole absorbed
-// stack unwinds (every absorption site is in tail position), and the chain
-// resumes from Run's loop. The bound also caps how many events can
-// fire between interrupt-flag polls inside one absorbed chain.
-const absorbDepthMax = 64
-
-// headAfter reports whether every queued event fires strictly after a
-// hypothetical event scheduled now at (t, born): the queue's minimum —
-// which, being already queued, carries an earlier sequence number and so
-// wins any full-key tie — orders after (t, born) in (time, scheduling-time)
-// order.
-func (e *Engine) headAfter(t, born Time) bool {
-	var h *event
-	if e.nextSet {
-		h = &e.nextEv
-	} else if len(e.heap) > e.lo {
-		h = e.peekMin()
-	} else {
-		return true
-	}
-	return h.t > t || (h.t == t && h.born > born)
-}
-
-// AbsorbAsOf behaves exactly like ScheduleAsOf — fn fires at time t in the
-// position of an event scheduled at born — but when that event would be the
-// engine's very next (every queued event orders strictly after it), fn runs
-// inline instead of taking a queue round-trip. The skipped push/pop pair is
-// the one Run would have performed immediately anyway: the clock and
-// EventScheduledAt are set exactly as Run would have set them, and no
-// other event can interleave, so the simulated event order — and with it
-// every timestamp, RNG draw and trace record — is byte-identical to the
-// scheduled execution. Sequence numbers refine scheduling order only
-// relatively, so the absorbed event not drawing one cannot reorder anything.
-//
-// Caller contract: the call must be in tail position of the current event —
-// nothing with observable effect may run after AbsorbAsOf returns — because
-// fn (and transitively the chain it absorbs) executes before the caller's
-// remaining statements. Callers firing several deferred continuations in a
-// row must suppress absorption for all but the last (see WithoutAbsorb).
-func (e *Engine) AbsorbAsOf(t, born Time, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	if e.absorbOff || e.absorbDepth >= absorbDepthMax || !e.headAfter(t, born) {
-		e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(fn)})
-		return
-	}
-	if e.interrupt != nil {
-		if e.intCount++; e.intCount >= interruptStride {
-			e.intCount = 0
-			if e.interrupt.Load() {
-				// Unwind through the queue; Run will see the flag.
-				e.push(event{t: t, seq: e.nextSeq(), born: born, pay: e.alloc(fn)})
-				return
-			}
-		}
-	}
-	if t > e.now {
-		e.now = t
-	}
-	e.curBorn = born
-	e.absorbDepth++
-	fn()
-	e.absorbDepth--
-}
-
-// WithoutAbsorb runs f with inline absorption suppressed: every AbsorbAsOf
-// call inside f degrades to ScheduleAsOf. Callers that fire several
-// collected same-key continuations in a row use it for all but the last —
-// only the last is in tail position, and the earlier ones must leave their
-// follow-up events queued so the ordering against the remaining
-// continuations is decided by the comparator, not by call order.
-func (e *Engine) WithoutAbsorb(f func()) {
-	if e.absorbOff {
-		f()
-		return
-	}
-	e.absorbOff = true
-	f()
-	e.absorbOff = false
-}
-
-// SetAbsorb enables or disables inline absorption. Disabling forces every
-// AbsorbAsOf through the queue; the literal A/B runs of the fast-forward
-// differential tests use it.
-func (e *Engine) SetAbsorb(on bool) { e.absorbOff = !on }
-
 // EventScheduledAt reports the virtual time at which the currently
 // executing event was scheduled. Together with the (time, seq) firing order
 // it lets runtime models reconstruct how a hypothetical event scheduled at
@@ -598,8 +502,6 @@ func (e *Engine) Reset(seed int64) {
 	e.seq = 0
 	e.pushes = 0
 	e.curBorn = 0
-	e.absorbDepth = 0
-	e.absorbOff = false
 	e.heap = e.heap[:0]
 	e.lo = 0
 	e.arrayMode = true

@@ -36,24 +36,23 @@ func TestSteadyStateSleepAllocatesNothing(t *testing.T) {
 }
 
 // TestEqualTimestampFIFOAcrossEventKinds locks in the seq tie-break across
-// the scheduling entry points (Schedule, After, ScheduleAsOf at the current
-// instant, and an AbsorbAsOf that must queue): events scheduled for the same
-// (time, scheduling time) fire strictly in schedule order.
+// the scheduling entry points (Schedule, After, and ScheduleAsOf at the
+// current instant): events scheduled for the same (time, scheduling time)
+// fire strictly in schedule order.
 func TestEqualTimestampFIFOAcrossEventKinds(t *testing.T) {
 	e := NewEngine(1)
 	var order []string
 	rec := func(name string) func() { return func() { order = append(order, name) } }
 	e.Schedule(2, func() {
-		// All four at (t=2, born=2), interleaving the entry points.
+		// All three at (t=2, born=2), interleaving the entry points.
 		e.Schedule(2, rec("schedule"))
 		e.ScheduleAsOf(2, 2, rec("asof"))
 		e.After(0, rec("after"))
-		e.AbsorbAsOf(2, 2, rec("absorb")) // not the head: queues
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"schedule", "asof", "after", "absorb"}
+	want := []string{"schedule", "asof", "after"}
 	if len(order) != len(want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}

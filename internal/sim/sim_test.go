@@ -205,54 +205,6 @@ func TestScheduleAsOfOrder(t *testing.T) {
 	}
 }
 
-// TestAbsorbAsOfMatchesQueue checks the inline-absorption contract: with
-// absorption on and off, the same program fires its callbacks in the same
-// order at the same instants with the same EventScheduledAt, and absorption
-// runs an event inline only when it is the next one due.
-func TestAbsorbAsOfMatchesQueue(t *testing.T) {
-	run := func(absorb bool) (log []string, inline int) {
-		e := NewEngine(1)
-		e.SetAbsorb(absorb)
-		rec := func(name string) func() {
-			return func() {
-				log = append(log, fmt.Sprintf("%s@%v/%v", name, e.Now(), e.EventScheduledAt()))
-			}
-		}
-		e.Schedule(2, rec("other"))
-		e.Schedule(0, func() {
-			depth := 0
-			// Head of the queue: absorbed inline when enabled.
-			e.AbsorbAsOf(1, 0, func() {
-				depth++
-				rec("a")()
-				// Ties "other" at t=2 but was born later: must queue.
-				e.AbsorbAsOf(2, 1, func() {
-					rec("b")()
-					// Nothing else is queued: absorbed.
-					e.AbsorbAsOf(3, 2, rec("c"))
-				})
-			})
-			inline = depth
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return log, inline
-	}
-	on, inlineOn := run(true)
-	off, inlineOff := run(false)
-	if fmt.Sprint(on) != fmt.Sprint(off) {
-		t.Fatalf("absorbed run %v differs from queued run %v", on, off)
-	}
-	want := []string{"a@1/0", "other@2/0", "b@2/1", "c@3/2"}
-	if fmt.Sprint(on) != fmt.Sprint(want) {
-		t.Fatalf("order = %v, want %v", on, want)
-	}
-	if inlineOn != 1 || inlineOff != 0 {
-		t.Fatalf("inline absorption: on=%d off=%d, want 1 and 0", inlineOn, inlineOff)
-	}
-}
-
 func TestServerSerializesRequests(t *testing.T) {
 	e := NewEngine(1)
 	var s Server

@@ -88,8 +88,8 @@ PIDS+=($!)
 echo "== async sweep accepted by worker 1, then SIGKILL it mid-flight"
 # Heavy cells on a 1-thread worker: demonstrably incomplete when the kill
 # lands, so recovery really replays work instead of rubber-stamping. SS/SS
-# cells contend on every iteration, which the simulator cannot
-# fast-forward analytically — several hundred ms each, wall-clock.
+# cells contend on every iteration, so every lock attempt costs simulated
+# port traffic — several hundred ms each, wall-clock.
 python3 - "$DIR/job.json" <<'EOF'
 import json, sys
 cells = [{
