@@ -64,12 +64,19 @@ func NewRing(workers []string, replicas int) *Ring {
 	return r
 }
 
-// pointHash places virtual point v of a worker on the ring (FNV-64a over
-// "name#v": fast, stable across processes, uniform enough for placement).
+// pointHash places virtual point v of a worker on the ring: FNV-64a over
+// "name#v", stable across processes, then splitmix64's finalizer. FNV-64a
+// alone puts the points of names that differ in a few trailing bytes
+// (consecutive ports, numbered hosts) in nearby regions of the space — two
+// workers on adjacent ports would split the keys 26/74 — and the finalizer
+// spreads every input bit over the whole output.
 func pointHash(name string, v int) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s#%d", name, v)
-	return h.Sum64()
+	z := h.Sum64()
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Workers returns the ring's worker names in construction order.

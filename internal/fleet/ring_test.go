@@ -1,16 +1,22 @@
 package fleet
 
 import (
-	"fmt"
+	"crypto/sha256"
+	"encoding/hex"
+	"math"
+	"strconv"
 	"testing"
+
+	"repro/hdls"
 )
 
+// ringKeys returns n routing keys spread over the space the way config
+// hashes are: the routing key of a SHA-256 digest of an index.
 func ringKeys(n int) []uint64 {
 	keys := make([]uint64, n)
 	for i := range keys {
-		// Spread keys over the space the way config hashes do: hash an
-		// index, don't use it raw.
-		keys[i] = pointHash(fmt.Sprintf("key-%d", i), 0)
+		sum := sha256.Sum256([]byte(strconv.Itoa(i)))
+		keys[i] = hdls.HashKeyOf(hex.EncodeToString(sum[:]))
 	}
 	return keys
 }
@@ -89,6 +95,32 @@ func TestRingSingleWorker(t *testing.T) {
 	for _, key := range ringKeys(50) {
 		if got := r.Owner(key); got != 0 {
 			t.Fatalf("single-worker ring routed key to %d", got)
+		}
+	}
+}
+
+// TestRingSpreadsSimilarNames checks placement for worker names that differ
+// in only a few bytes — consecutive ports on one host, numbered hosts on
+// one port — which is how fleets are named. With the default 64 points per
+// worker, each worker must own its fair share of keys to within 25%.
+func TestRingSpreadsSimilarNames(t *testing.T) {
+	keys := ringKeys(16384)
+	for _, workers := range [][]string{
+		{"http://127.0.0.1:28471", "http://127.0.0.1:28472"},
+		{"http://127.0.0.1:28471", "http://127.0.0.1:28472", "http://127.0.0.1:28473", "http://127.0.0.1:28474"},
+		{"http://node-a:8080", "http://node-b:8080", "http://node-c:8080"},
+	} {
+		r := NewRing(workers, 64)
+		counts := make([]int, len(workers))
+		for _, key := range keys {
+			counts[r.Owner(key)]++
+		}
+		fair := float64(len(keys)) / float64(len(workers))
+		for wi, n := range counts {
+			if math.Abs(float64(n)-fair) > 0.25*fair {
+				t.Errorf("%s owns %.1f%% of keys, want %.1f%% ± 25%% (counts %v)",
+					workers[wi], 100*float64(n)/float64(len(keys)), 100/float64(len(workers)), counts)
+			}
 		}
 	}
 }
