@@ -18,7 +18,7 @@ import (
 // returns a stop function that finishes the CPU profile and, when memPath
 // is non-empty, writes a heap profile. Perf work should start from a
 // profile, not a guess: run the workload with these flags and feed the
-// output to `go tool pprof` (or commit it as default.pgo for PGO builds).
+// output to `go tool pprof`.
 func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {

@@ -139,9 +139,6 @@ func (p Params) EscapeCountsCached() []int {
 	return counts
 }
 
-// InSet reports whether the pixel's point never escaped.
-func (p *Params) InSet(i int) bool { return p.Escape(i) == p.MaxIter }
-
 // Render produces an 8-bit grayscale image (log-scaled escape counts,
 // in-set points black), row-major.
 func (p *Params) Render(counts []int) []uint8 {

@@ -39,15 +39,6 @@ func (a Vec3) Scale(s float64) Vec3 { return Vec3{s * a.X, s * a.Y, s * a.Z} }
 // Norm returns ‖a‖.
 func (a Vec3) Norm() float64 { return math.Sqrt(a.Dot(a)) }
 
-// Normalize returns a/‖a‖ (zero vector unchanged).
-func (a Vec3) Normalize() Vec3 {
-	n := a.Norm()
-	if n == 0 {
-		return a
-	}
-	return a.Scale(1 / n)
-}
-
 // Cloud is an oriented point cloud: surface samples with unit normals.
 type Cloud struct {
 	Points  []Vec3
@@ -93,21 +84,6 @@ func Torus(n int, R, r float64, noise float64, seed int64) *Cloud {
 		c.Normals[i] = Vec3{cv * cu, cv * su, sv}
 	}
 	return c
-}
-
-// TwoSpheres samples an uneven dumbbell: 70% of points on a unit sphere at
-// the origin and 30% on a half-radius sphere offset on x. Its bimodal
-// density is the stress case for neighbour-count variance.
-func TwoSpheres(n int, noise float64, seed int64) *Cloud {
-	nA := n * 7 / 10
-	a := Sphere(nA, noise, seed)
-	b := Sphere(n-nA, noise, seed+1)
-	for i := range b.Points {
-		b.Points[i] = b.Points[i].Scale(0.5).Add(Vec3{X: 2.0})
-	}
-	a.Points = append(a.Points, b.Points...)
-	a.Normals = append(a.Normals, b.Normals...)
-	return a
 }
 
 // Params configures spin-image generation.
@@ -237,15 +213,6 @@ func (g *Generator) SupportCount(i int) int {
 	count := 0
 	g.grid.visit(base, radius, func(int) { count++ })
 	return count
-}
-
-// SupportCounts computes SupportCount for every point.
-func (g *Generator) SupportCounts() []int {
-	out := make([]int, g.cloud.N())
-	for i := range out {
-		out[i] = g.SupportCount(i)
-	}
-	return out
 }
 
 // Sum returns the total mass of an image.

@@ -23,13 +23,6 @@ func TestVec3Basics(t *testing.T) {
 	if got := (Vec3{3, 4, 0}).Norm(); got != 5 {
 		t.Fatalf("Norm = %v", got)
 	}
-	n := (Vec3{0, 0, 9}).Normalize()
-	if n != (Vec3{0, 0, 1}) {
-		t.Fatalf("Normalize = %v", n)
-	}
-	if z := (Vec3{}).Normalize(); z != (Vec3{}) {
-		t.Fatal("Normalize(0) changed the zero vector")
-	}
 }
 
 func TestSphereSampling(t *testing.T) {
@@ -74,24 +67,6 @@ func TestTorusSampling(t *testing.T) {
 		if math.Abs(c.Normals[i].Norm()-1) > 1e-9 {
 			t.Fatalf("normal %d not unit", i)
 		}
-	}
-}
-
-func TestTwoSpheresSplit(t *testing.T) {
-	c := TwoSpheres(1000, 0, 3)
-	if c.N() != 1000 {
-		t.Fatalf("N = %d", c.N())
-	}
-	near, far := 0, 0
-	for _, p := range c.Points {
-		if p.X > 1.2 {
-			far++
-		} else {
-			near++
-		}
-	}
-	if near != 700 || far != 300 {
-		t.Fatalf("split = %d/%d, want 700/300", near, far)
 	}
 }
 
@@ -158,7 +133,7 @@ func TestSpinImageCapturesNeighbours(t *testing.T) {
 func TestSupportAngleFilters(t *testing.T) {
 	// Support radius 1.2 on a unit sphere spans ≈74° of normal deviation,
 	// so a 30° support angle must drop contributors.
-	c := TwoSpheres(4000, 0, 9)
+	c := Sphere(4000, 0, 9)
 	wide := DefaultParams(8, 0.15)
 	wide.SupportAngle = math.Pi
 	narrow := wide

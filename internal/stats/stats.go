@@ -1,13 +1,11 @@
 // Package stats provides the small statistical toolkit used across the
-// repository: moments, percentiles, histograms, and the load-imbalance
-// metrics standard in the DLS literature.
+// repository: moments and the load-imbalance metrics standard in the DLS
+// literature.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -64,32 +62,6 @@ func MinMax(xs []float64) (min, max float64) {
 	return min, max
 }
 
-// Percentile returns the p-th percentile (0..100) of xs using linear
-// interpolation between order statistics; it panics on empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	if p <= 0 {
-		m, _ := MinMax(xs)
-		return m
-	}
-	if p >= 100 {
-		_, m := MinMax(xs)
-		return m
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // LoadImbalance returns the classic max/mean − 1 metric over per-worker
 // finishing loads: 0 means perfectly balanced. It returns 0 for degenerate
 // inputs.
@@ -103,57 +75,6 @@ func LoadImbalance(loads []float64) float64 {
 	}
 	_, max := MinMax(loads)
 	return max/m - 1
-}
-
-// Histogram bins xs into n equal-width buckets over [min, max] and returns
-// the bucket counts. Values exactly at max land in the last bucket.
-func Histogram(xs []float64, n int) []int {
-	if n <= 0 || len(xs) == 0 {
-		return nil
-	}
-	min, max := MinMax(xs)
-	counts := make([]int, n)
-	if max == min {
-		counts[0] = len(xs)
-		return counts
-	}
-	w := (max - min) / float64(n)
-	for _, x := range xs {
-		b := int((x - min) / w)
-		if b < 0 || math.IsNaN((x-min)/w) { // extreme ranges can overflow the division
-			b = 0
-		}
-		if b >= n {
-			b = n - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// Sparkline renders counts as a compact unicode bar string, for trace and
-// CLI output.
-func Sparkline(counts []int) string {
-	if len(counts) == 0 {
-		return ""
-	}
-	levels := []rune("▁▂▃▄▅▆▇█")
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	var b strings.Builder
-	for _, c := range counts {
-		if max == 0 {
-			b.WriteRune(levels[0])
-			continue
-		}
-		idx := c * (len(levels) - 1) / max
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
 }
 
 // FormatSeconds renders a duration in seconds with an adaptive unit, for

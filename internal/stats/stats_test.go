@@ -45,22 +45,6 @@ func TestMinMax(t *testing.T) {
 	MinMax(nil)
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2}, {75, 4}, {-5, 1}, {110, 5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); math.Abs(got-c.want) > 1e-12 {
-			t.Fatalf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	// Interpolation between order statistics.
-	if got := Percentile([]float64{0, 10}, 25); math.Abs(got-2.5) > 1e-12 {
-		t.Fatalf("Percentile(25) = %v, want 2.5", got)
-	}
-}
-
 func TestLoadImbalance(t *testing.T) {
 	if got := LoadImbalance([]float64{1, 1, 1, 1}); got != 0 {
 		t.Fatalf("balanced imbalance = %v, want 0", got)
@@ -70,34 +54,6 @@ func TestLoadImbalance(t *testing.T) {
 	}
 	if LoadImbalance(nil) != 0 || LoadImbalance([]float64{0, 0}) != 0 {
 		t.Fatal("degenerate inputs should give 0")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.1, 0.2, 0.5, 0.9, 1.0}
-	h := Histogram(xs, 2)
-	// Buckets are [0, 0.5) and [0.5, 1.0]: 0.5 lands in the second.
-	if len(h) != 2 || h[0] != 3 || h[1] != 3 {
-		t.Fatalf("Histogram = %v, want [3 3]", h)
-	}
-	if got := Histogram([]float64{3, 3, 3}, 4); got[0] != 3 {
-		t.Fatalf("constant histogram = %v", got)
-	}
-	if Histogram(nil, 3) != nil {
-		t.Fatal("Histogram(nil) should be nil")
-	}
-}
-
-func TestSparkline(t *testing.T) {
-	s := Sparkline([]int{0, 5, 10})
-	if len([]rune(s)) != 3 {
-		t.Fatalf("Sparkline length = %d, want 3", len([]rune(s)))
-	}
-	if []rune(s)[0] != '▁' || []rune(s)[2] != '█' {
-		t.Fatalf("Sparkline = %q", s)
-	}
-	if Sparkline(nil) != "" {
-		t.Fatal("Sparkline(nil) should be empty")
 	}
 }
 
@@ -121,9 +77,9 @@ func TestFormatSeconds(t *testing.T) {
 	}
 }
 
-// Property: histogram conserves count; imbalance is non-negative.
+// Property: imbalance is non-negative.
 func TestQuickHistogramConservation(t *testing.T) {
-	f := func(raw []float64, nRaw uint8) bool {
+	f := func(raw []float64) bool {
 		xs := make([]float64, 0, len(raw))
 		for _, x := range raw {
 			if !math.IsNaN(x) && !math.IsInf(x, 0) {
@@ -135,19 +91,11 @@ func TestQuickHistogramConservation(t *testing.T) {
 		if len(xs) == 0 {
 			return true
 		}
-		n := int(nRaw%10) + 1
-		total := 0
-		for _, c := range Histogram(xs, n) {
-			if c < 0 {
-				return false
-			}
-			total += c
-		}
 		pos := make([]float64, len(xs))
 		for i, x := range xs {
 			pos[i] = math.Abs(x) + 1
 		}
-		return total == len(xs) && LoadImbalance(pos) >= 0
+		return LoadImbalance(pos) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
