@@ -54,10 +54,9 @@ soak:
 # microbenchmarks to stderr.
 # The node axis spans 2..16 (the paper's full system-size sweep): the 8n/16n
 # cells are the large-P rows — 128/256 ranks per cell — and make up most of
-# the sweep's wall time, so bench-check's 25% gate catches large-P
-# regressions through the aggregate cells/second. Commit the JSON to extend
-# the perf trajectory; set SUFFIX (e.g. SUFFIX=b) when a snapshot for the
-# date already exists, so the trajectory keeps both points.
+# the sweep's wall time. Commit the JSON to extend the perf trajectory; set
+# SUFFIX (e.g. SUFFIX=b) when a snapshot for the date already exists, so the
+# trajectory keeps both points.
 SUFFIX ?=
 bench:
 	$(GO) run ./cmd/hdlsweep -scale 64 -nodes 2,4,8,16 -q -json BENCH_$(DATE)$(SUFFIX).json
