@@ -1,8 +1,10 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -68,6 +70,56 @@ func TestArenaReuseByteIdentical(t *testing.T) {
 		if !reflect.DeepEqual(got.Trace.Events, fresh.Trace.Events) {
 			t.Fatal("pooled event trace differs from fresh run")
 		}
+	}
+}
+
+// TestArenaReuseAcrossShapes extends the pooled-arena oracle to the
+// machines a pooled arena keeps (DESIGN.md §8): rank and thread machines,
+// RMA issuers, collective records, communicators and teams. Each of 72
+// fuzzed cells — all three executors, every inter technique, 1 to 8 nodes,
+// 1 to 16 workers per node, heterogeneous speeds and core counts, noise,
+// slowdowns and background load, traces on — runs once on a fresh arena
+// and once in a sequence of cells that all share one arena, and both runs
+// must agree on every result field and every trace event. State that one
+// cell leaves in a pooled machine and the next cell reads shows here.
+func TestArenaReuseAcrossShapes(t *testing.T) {
+	cells := make([]Config, 72)
+	seen := map[Approach]int{}
+	nodes, wpns := map[int]bool{}, map[int]bool{}
+	for i := range cells {
+		rng := rand.New(rand.NewSource(int64(9100 + i)))
+		cells[i] = fuzzConfig(rng, allInter[i%len(allInter)])
+		seen[cells[i].Approach]++
+		nodes[cells[i].Cluster.Nodes] = true
+		wpns[cells[i].WorkersPerNode] = true
+	}
+	if len(seen) != 3 || len(nodes) < 4 || len(wpns) < 4 {
+		t.Fatalf("draw covers approaches %v, node counts %v, workers per node %v", seen, nodes, wpns)
+	}
+
+	fresh := make([]string, len(cells))
+	for i, cfg := range cells {
+		harnessPool = sync.Pool{} // a fresh arena for every cell
+		fresh[i] = hybridDigest(mustRun(t, cfg))
+	}
+
+	// One arena for the whole sequence: a single P keeps sync.Pool's
+	// per-P cache in play, and no collection empties it.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	harnessPool = sync.Pool{}
+	_, builds0, _ := ArenaStats()
+	for i, cfg := range cells {
+		if got := hybridDigest(mustRun(t, cfg)); got != fresh[i] {
+			t.Errorf("cell %d (%v %v/%v %dn×%dw seed=%d) after %d pooled cells: digest %s, fresh arena %s",
+				i, cfg.Approach, cfg.Inter, cfg.Intra, cfg.Cluster.Nodes, cfg.WorkersPerNode, cfg.Seed, i, got, fresh[i])
+		}
+	}
+	// Under the race detector sync.Pool drops a quarter of its puts at
+	// random, so the sequence builds a few more arenas there; the digests
+	// must match all the same.
+	if _, builds, _ := ArenaStats(); !raceEnabled && builds-builds0 != 1 {
+		t.Fatalf("the pooled sequence built %d arenas, want 1", builds-builds0)
 	}
 }
 

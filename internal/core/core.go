@@ -305,10 +305,11 @@ func runHarness(cfg Config) (*harness, error) {
 
 // harness carries the shared bookkeeping of one run.
 type harness struct {
-	cfg   *Config
-	eng   *sim.Engine
-	world *mpi.World // pooled across cells; reset per run (DESIGN.md §8)
-	prof  *workload.Profile
+	cfg    *Config // &cfgVal while a cell runs
+	cfgVal Config  // the cell's defaulted config, copied in by newHarness
+	eng    *sim.Engine
+	world  *mpi.World // pooled across cells; reset per run (DESIGN.md §8)
+	prof   *workload.Profile
 
 	nWorkers int
 	wPerNode []int // workers hosted per node
@@ -338,6 +339,24 @@ type harness struct {
 	intraBigLen []int
 	intraBig    []dls.Schedule
 	sigma       float64
+
+	// The executors' machines, built once per arena and reset in place
+	// by each cell's setup (DESIGN.md §8): MPI+MPI workers by world rank,
+	// MPI+OpenMP ranks (with their teams) and nowait nodes by node. Every
+	// step func is bound at construction, and so are the Launch start
+	// functions below.
+	workers     []*mpimpiWorker
+	ompRanks    []*ompRank
+	nowaitNodes []*nowaitNode
+
+	startMPIMPIFn, startMPIOpenMPFn, startNoWaitFn func(*mpi.Rank)
+
+	inter     interSched // the cell's global-queue schedule
+	finished  int        // ranks retired this cell
+	localWins []*mpi.Win // MPI+MPI: each node's local-queue window
+	lqNames   []string   // "local-queue-<node>", by node
+
+	finF, nodeF []float64 // summary's scratch
 }
 
 // intraCacheCap bounds the slice-indexed intra-schedule cache per node;
@@ -377,6 +396,7 @@ func newHarness(c *Config) *harness {
 	h, _ := harnessPool.Get().(*harness)
 	if h == nil {
 		h = &harness{eng: sim.NewEngine(c.Seed)}
+		h.startMPIMPIFn, h.startMPIOpenMPFn, h.startNoWaitFn = h.startMPIMPI, h.startMPIOpenMP, h.startNoWait
 		arenaBuilds.Add(1)
 	} else {
 		h.eng.Reset(c.Seed)
@@ -385,7 +405,8 @@ func newHarness(c *Config) *harness {
 	h.eng.SetInterrupt(c.Interrupt)
 	n := c.Workload.N()
 	nodes := c.Cluster.Nodes
-	h.cfg = c
+	h.cfgVal = *c
+	h.cfg = &h.cfgVal
 	h.prof = c.Workload
 	h.nWorkers = 0
 	h.wPerNode = resizeZeroed(h.wPerNode, nodes)
@@ -429,6 +450,7 @@ func newHarness(c *Config) *harness {
 // (Engine.Reset would refuse it anyway).
 func (h *harness) release() {
 	h.cfg = nil
+	h.cfgVal = Config{}
 	h.prof = nil
 	h.tr = nil
 	arenaPuts.Add(1)
@@ -678,11 +700,13 @@ func (h *harness) makespan() sim.Time {
 // arithmetic as result() plus the stats the sweep drivers derive from it
 // (node-finish CoV as in hdls.RunRobustness, imbalance as in result).
 func (h *harness) summary() Summary {
-	fin := make([]float64, len(h.finish))
+	h.finF = resizeZeroed(h.finF, len(h.finish))
+	fin := h.finF
 	for i, f := range h.finish {
 		fin[i] = float64(f)
 	}
-	nf := make([]float64, h.cfg.Cluster.Nodes)
+	h.nodeF = resizeZeroed(h.nodeF, h.cfg.Cluster.Nodes)
+	nf := h.nodeF
 	for node := range nf {
 		var m sim.Time
 		for w := h.wOff[node]; w < h.wOff[node]+h.wPerNode[node]; w++ {

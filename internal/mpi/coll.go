@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -29,10 +30,20 @@ type Comm struct {
 	nodes int // distinct nodes spanned (computed lazily)
 }
 
-// newComm builds a communicator over the given contiguous world ranks. The
-// ranks slice is owned by the communicator afterwards.
-func newComm(w *World, ranks []int, name string) *Comm {
-	return &Comm{world: w, ranks: ranks, name: name, seqOf: make([]int, len(ranks))}
+// reset makes c the communicator over the size contiguous world ranks
+// starting at first, with no collective in flight, keeping its backing
+// arrays and its recycled collective states.
+func (c *Comm) reset(w *World, first, size int) {
+	c.world = w
+	c.ranks = resizeZeroed(c.ranks, size)
+	for i := range c.ranks {
+		c.ranks[i] = first + i
+	}
+	c.seqOf = resizeZeroed(c.seqOf, size)
+	clear(c.collRing)
+	c.collRing = c.collRing[:0]
+	c.collBase = 0
+	c.nodes = 0
 }
 
 // Size reports the number of ranks in the communicator.
@@ -65,19 +76,15 @@ func (c *Comm) spansNodes() int {
 
 // SplitTypeShared models MPI_Comm_split_type(MPI_COMM_TYPE_SHARED): it
 // returns the communicator of all world ranks sharing r's node. The result
-// is memoized so every rank of a node receives the same *Comm. Ranks are
-// placed contiguously by node, so construction is O(ranks on the node).
+// is memoized so every rank of a node receives the same *Comm, and a pooled
+// world keeps it across cells (World.Reset). Ranks are placed contiguously
+// by node, so construction is O(ranks on the node).
 func (w *World) SplitTypeShared(r *Rank) *Comm {
-	if w.nodeComms == nil {
-		w.nodeComms = make([]*Comm, w.cfg.Nodes)
-	}
 	n := r.node
 	if w.nodeComms[n] == nil {
-		members := make([]int, w.nodeRanks[n])
-		for i := range members {
-			members[i] = w.nodeOff[n] + i
-		}
-		w.nodeComms[n] = newComm(w, members, fmt.Sprintf("node%d", n))
+		c := &Comm{name: "node" + strconv.Itoa(n)}
+		c.reset(w, w.nodeOff[n], w.nodeRanks[n])
+		w.nodeComms[n] = c
 	}
 	return w.nodeComms[n]
 }
@@ -87,12 +94,44 @@ type collState struct {
 	seq     int
 	arrived int
 	passed  int
-	// conts holds the continuations of the ranks that arrived before the
-	// last, in arrival order.
-	conts   []func()
-	payload any
-	kind    string
-	next    *collState // freelist link
+	// exits[i] is the exit record of the i-th rank to arrive; the records
+	// are kept when the state is recycled.
+	exits []*collExit
+	win   *Win // the window a "winalloc" collective creates
+	kind  string
+	next  *collState // freelist link
+}
+
+// collExit is one rank's pending exit from a synchronizing collective: its
+// continuation (cont, or winCont for a window allocation) and the events
+// that reach it, bound once per record. A record belongs to one state of
+// one communicator for life.
+type collExit struct {
+	c       *Comm
+	st      *collState
+	cont    func()
+	winCont func(*Win)
+	// at and born are the exit event's position, set when the last rank
+	// arrives.
+	at, born          sim.Time
+	releaseFn, exitFn func()
+}
+
+// release is a waiter's release event at the last arrival's instant: it
+// schedules the waiter's exit after the collective's cost.
+func (x *collExit) release() { x.c.world.eng.ScheduleAsOf(x.at, x.born, x.exitFn) }
+
+// exit leaves the collective and runs the rank's continuation. The record
+// and its state may be recycled by leave, so everything is read first.
+func (x *collExit) exit() {
+	c, st, cont, winCont := x.c, x.st, x.cont, x.winCont
+	win := st.win
+	c.leave(st)
+	if winCont != nil {
+		winCont(win)
+		return
+	}
+	cont()
 }
 
 // enter locates (or creates) the state for this rank's next collective call
@@ -116,7 +155,7 @@ func (c *Comm) enter(r *Rank, kind string) *collState {
 			c.collFree = st.next
 			st.next = nil
 			st.arrived, st.passed = 0, 0
-			st.payload = nil
+			st.win = nil
 		}
 		st.kind = kind
 		st.seq = seq
@@ -127,39 +166,50 @@ func (c *Comm) enter(r *Rank, kind string) *collState {
 	return st
 }
 
-// arriveCont records r's arrival at a synchronizing collective: cont runs
-// cost after the last rank arrives. When the last rank arrives the waiters
-// are released in arrival order — each release event, at the arrival
-// instant, schedules its rank's continuation cost later — and the last
-// arriver's own continuation is scheduled right after the releases.
-func (c *Comm) arriveCont(r *Rank, st *collState, cost sim.Time, cont func()) {
+// arriveCont records a rank's arrival at a synchronizing collective: its
+// continuation (cont, or winCont holding the state's window) runs cost after
+// the last rank arrives. When the last rank arrives the waiters are
+// released in arrival order — each release event, at the arrival instant,
+// schedules its rank's exit cost later — and the last arriver's own exit is
+// scheduled right after the releases.
+func (c *Comm) arriveCont(st *collState, cost sim.Time, cont func(), winCont func(*Win)) {
+	if st.arrived == len(st.exits) {
+		x := &collExit{c: c, st: st}
+		x.releaseFn, x.exitFn = x.release, x.exit
+		st.exits = append(st.exits, x)
+	}
+	x := st.exits[st.arrived]
+	x.cont, x.winCont = cont, winCont
 	st.arrived++
 	if st.arrived < c.Size() {
-		st.conts = append(st.conts, cont)
 		return
 	}
 	eng := c.world.eng
 	now := eng.Now()
-	for _, wc := range st.conts {
-		wc := wc
-		eng.ScheduleAsOf(now, now, func() {
-			eng.ScheduleAsOf(now+cost, now, wc)
-		})
+	for _, wx := range st.exits[:st.arrived-1] {
+		wx.at, wx.born = now+cost, now
+		eng.ScheduleAsOf(now, now, wx.releaseFn)
 	}
-	st.conts = st.conts[:0]
-	eng.ScheduleAsOf(now+cost, now, cont)
+	eng.ScheduleAsOf(now+cost, now, x.exitFn)
 }
 
 // leave retires the state once every rank has passed through. States retire
 // in sequence order (a rank passes collective k before entering k+1), so
-// retirement slides the ring window forward and recycles the state.
-func (c *Comm) leave(r *Rank, st *collState) {
+// retirement slides the ring window forward, in place, and recycles the
+// state.
+func (c *Comm) leave(st *collState) {
 	st.passed++
 	if st.passed == c.Size() {
 		c.collRing[st.seq-c.collBase] = nil
-		for len(c.collRing) > 0 && c.collRing[0] == nil {
-			c.collRing = c.collRing[1:]
-			c.collBase++
+		k := 0
+		for k < len(c.collRing) && c.collRing[k] == nil {
+			k++
+		}
+		if k > 0 {
+			n := copy(c.collRing, c.collRing[k:])
+			clear(c.collRing[n:])
+			c.collRing = c.collRing[:n]
+			c.collBase += k
 		}
 		st.next = c.collFree
 		c.collFree = st
@@ -188,9 +238,5 @@ func (c *Comm) latencyCost(rounds int, bytes int) sim.Time {
 // BarrierCont enters an MPI_Barrier on c: cont runs once every rank of c
 // has entered, after the barrier's tree-latency cost.
 func (c *Comm) BarrierCont(r *Rank, cont func()) {
-	st := c.enter(r, "barrier")
-	c.arriveCont(r, st, c.latencyCost(2, 0), func() {
-		c.leave(r, st)
-		cont()
-	})
+	c.arriveCont(c.enter(r, "barrier"), c.latencyCost(2, 0), cont, nil)
 }

@@ -43,6 +43,8 @@ type World struct {
 	world     *Comm
 	nodeComms []*Comm
 	wins      []*Win
+	// start is Launch's per-rank start function while the world runs.
+	start func(*Rank)
 	// winFree holds retired windows from earlier cells of a pooled world;
 	// allocateWin reuses their backing arrays (see World.Reset).
 	winFree []*Win
@@ -57,55 +59,24 @@ type World struct {
 // the paper's runs, with heterogeneous core counts capping naturally.
 // ranksPerNode must be in 1..MaxCores.
 func NewWorld(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) (*World, error) {
-	if err := cfg.Validate(); err != nil {
+	w := &World{}
+	if err := w.Reset(eng, cfg, ranksPerNode); err != nil {
 		return nil, err
 	}
-	if ranksPerNode <= 0 || ranksPerNode > cfg.MaxCores() {
-		return nil, fmt.Errorf("mpi: ranksPerNode %d out of range 1..%d", ranksPerNode, cfg.MaxCores())
-	}
-	w := &World{
-		eng:       eng,
-		cfg:       cfg,
-		nodeRanks: make([]int, cfg.Nodes),
-		nodeOff:   make([]int, cfg.Nodes),
-		memPort:   make([]*rmaPort, cfg.Nodes),
-	}
-	size := 0
-	for n := 0; n < cfg.Nodes; n++ {
-		w.memPort[n] = &rmaPort{}
-		k := ranksPerNode
-		if c := cfg.Cores(n); k > c {
-			k = c
-		}
-		w.nodeRanks[n] = k
-		w.nodeOff[n] = size
-		size += k
-	}
-	w.ranks = make([]*Rank, size)
-	worldRanks := make([]int, size)
-	for n := 0; n < cfg.Nodes; n++ {
-		for c := 0; c < w.nodeRanks[n]; c++ {
-			r := w.nodeOff[n] + c
-			w.ranks[r] = &Rank{
-				world: w,
-				rank:  r,
-				node:  n,
-				core:  c,
-			}
-			worldRanks[r] = r
-		}
-	}
-	w.world = newComm(w, worldRanks, "world")
 	return w, nil
 }
 
 // Reset reinitializes a pooled world in place for a new cell on eng (which
-// the caller has already Reset): topology slices, rank structs, RMA ports, communicators and window pools are rebuilt or cleared while keeping
-// their backing allocations, so a reused world behaves observationally
-// identically to NewWorld(eng, cfg, ranksPerNode) — same rank placement,
-// zeroed ports and counters, fresh collective state — with O(1) steady-state
-// allocations. Retired windows move to the reuse pool so the next cell's
-// WinAllocateCont recycles their memory (DESIGN.md §8).
+// the caller has already Reset). Topology slices, rank structs, RMA ports,
+// communicators and window pools keep their backing allocations and are
+// restored to their constructor state field by field, so a reused world
+// behaves observationally identically to NewWorld(eng, cfg, ranksPerNode) —
+// same rank placement, zeroed ports and counters, fresh collective state —
+// and a warm world allocates nothing here. Each rank keeps the issuers its
+// NewLockCont, NewUnlockCont and NewFetchAndOpCont calls built in earlier
+// cells and hands them out again in call order. Retired windows move to the
+// reuse pool so the next cell's WinAllocateCont recycles their memory
+// (DESIGN.md §8).
 func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -134,28 +105,35 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 		size += k
 	}
 	w.ranks = resizeSlice(w.ranks, size)
-	worldRanks := make([]int, size)
 	for n := 0; n < cfg.Nodes; n++ {
 		for c := 0; c < w.nodeRanks[n]; c++ {
 			i := w.nodeOff[n] + c
 			r := w.ranks[i]
 			if r == nil {
 				r = &Rank{}
+				r.launchFn = r.launch
 				w.ranks[i] = r
 			}
-			pollerBuf := r.pollerBuf
-			*r = Rank{world: w, rank: i, node: n, core: c, pollerBuf: pollerBuf}
-			worldRanks[i] = i
+			r.world, r.rank, r.node, r.core = w, i, n, c
+			r.nlock, r.nunlock, r.nfop = 0, 0, 0
 		}
 	}
-	w.world = newComm(w, worldRanks, "world")
+	if w.world == nil {
+		w.world = &Comm{name: "world"}
+	}
+	w.world.reset(w, 0, size)
+	// Node communicators are split lazily (SplitTypeShared); pooled ones
+	// are reset here, and their names depend only on the node index.
 	w.nodeComms = resizeSlice(w.nodeComms, cfg.Nodes)
-	for i := range w.nodeComms {
-		w.nodeComms[i] = nil
+	for n, c := range w.nodeComms {
+		if c != nil {
+			c.reset(w, w.nodeOff[n], w.nodeRanks[n])
+		}
 	}
 	// Retire this cell's windows into the reuse pool; their backing arrays
 	// are re-zeroed at reallocation time (pooledWin).
 	w.winFree = append(w.winFree, w.wins...)
+	clear(w.wins)
 	w.wins = w.wins[:0]
 	return nil
 }
@@ -166,26 +144,21 @@ func resizeZeroed[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	s = s[:n]
-	var zero T
-	for i := range s {
-		s[i] = zero
-	}
+	clear(s)
 	return s
 }
 
 // resizeSlice returns s resized to n entries, reusing capacity and KEEPING
-// existing entries — the pooled Rank and port structs are reused in place;
-// entries beyond the previous length are nil.
+// every entry the backing array holds, including those beyond the previous
+// length: pooled structs from earlier, larger cells are reset in place
+// rather than rebuilt. Entries never filled are nil.
 func resizeSlice[T any](s []*T, n int) []*T {
 	if cap(s) < n {
-		return make([]*T, n)
+		grown := make([]*T, n)
+		copy(grown, s[:cap(s)])
+		return grown
 	}
-	prev := len(s)
-	s = s[:n]
-	for i := prev; i < n; i++ {
-		s[i] = nil
-	}
-	return s
+	return s[:n]
 }
 
 // RanksOn reports how many ranks node n hosts.
@@ -218,11 +191,13 @@ func (w *World) MemPortBusy(n int) sim.Time { return w.memPort[n].srv.BusyTime()
 // completion. start builds the rank's event-driven state machine (the *Cont
 // APIs) and returns; the run spawns no goroutines.
 func (w *World) Launch(start func(*Rank)) error {
+	w.start = start
 	for _, r := range w.ranks {
-		r := r
-		w.eng.Schedule(0, func() { start(r) })
+		w.eng.Schedule(0, r.launchFn)
 	}
-	return w.eng.Run()
+	err := w.eng.Run()
+	w.start = nil
+	return err
 }
 
 // Rank is one MPI process.
@@ -232,19 +207,32 @@ type Rank struct {
 	node  int
 	core  int
 
-	// pollerBuf is the rank's reusable lock-poller: a rank has at most one
-	// outstanding lock attempt, so the contended path allocates nothing in
-	// steady state.
-	pollerBuf *poller
+	// The issuers this rank's NewLockCont, NewUnlockCont and
+	// NewFetchAndOpCont calls returned, kept across the cells of a pooled
+	// world: the i-th call of a cell reuses the i-th issuer of its kind,
+	// so a warm rank builds none. The counts restart at World.Reset.
+	locks                []*lockIssuer
+	unlocks              []*unlockIssuer
+	fops                 []*fopIssuer
+	nlock, nunlock, nfop int
+
+	// launchFn is the rank's start event in Launch, bound once.
+	launchFn func()
 }
 
-// pooledPoller returns the rank's reusable poller; the caller overwrites
-// every field before registering it.
-func (r *Rank) pooledPoller() *poller {
-	if r.pollerBuf == nil {
-		r.pollerBuf = &poller{}
+// launch runs the world's start function for r (see Launch).
+func (r *Rank) launch() { r.world.start(r) }
+
+// nextIssuer returns the next pooled issuer of a rank, building it on
+// first use; *n counts the issuers of this kind handed out this cell.
+func nextIssuer[T any](pool *[]*T, n *int) (is *T, fresh bool) {
+	if *n == len(*pool) {
+		*pool = append(*pool, new(T))
+		fresh = true
 	}
-	return r.pollerBuf
+	is = (*pool)[*n]
+	*n++
+	return is, fresh
 }
 
 // Rank returns the world rank number.

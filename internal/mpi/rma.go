@@ -3,6 +3,7 @@ package mpi
 import (
 	"fmt"
 
+	"repro/internal/cluster"
 	"repro/internal/sim"
 )
 
@@ -439,9 +440,6 @@ const (
 	LockShared
 )
 
-// winState is the payload used during collective window creation.
-type winAllocPayload struct{ win *Win }
-
 // newWin builds the window object shared by a collective allocation. The
 // per-rank segments subslice one backing array (and reuse a pooled window's
 // backing memory when the world has one of the right shape), so window
@@ -489,14 +487,10 @@ func (c *Comm) allocateWinCont(r *Rank, name string, count int, shared bool, con
 		panic(fmt.Sprintf("mpi: shared window on communicator %q spanning %d nodes", c.name, c.spansNodes()))
 	}
 	st := c.enter(r, "winalloc")
-	if st.payload == nil {
-		st.payload = winAllocPayload{win: c.newWin(name, count, shared)}
+	if st.win == nil {
+		st.win = c.newWin(name, count, shared)
 	}
-	win := st.payload.(winAllocPayload).win
-	c.arriveCont(r, st, c.latencyCost(2, 0), func() {
-		c.leave(r, st)
-		cont(win)
-	})
+	c.arriveCont(st, c.latencyCost(2, 0), nil, cont)
 }
 
 // WinAllocateCont collectively creates a window with count int64 words per
@@ -530,55 +524,93 @@ func (w *Win) targetNode(target int) int {
 // arranges for cont to run, holding the lock, in an event at the position of
 // the literal check — where a blocking caller would have resumed. Under
 // contention the retry loop runs through the coalesced poller machinery and
-// cont fires at the exact grant position. The issuer and its closures are
-// allocated once, so steady-state issues are allocation-free.
+// cont fires at the exact grant position. The issuer is recycled from r
+// (World.Reset) with its func bound once, so a warm rank allocates nothing
+// here or per issue.
 func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
-	wld := w.world
+	site := w.lockSite(r, target, lockType, "NewLockCont")
+	is, fresh := nextIssuer(&r.locks, &r.nlock)
+	if fresh {
+		is.issue, is.checkFn = is.attempt, is.check
+	}
+	is.lockSite, is.cont = site, cont
+	return is.issue
+}
+
+// lockSite is the lock a lock or unlock issuer addresses, with the world,
+// engine, port and memory model that serve it. Every New*Cont call
+// refreshes it, so a recycled issuer never reaches an earlier cell's
+// machine.
+type lockSite struct {
+	w        *World
+	eng      *sim.Engine
+	pt       *rmaPort
+	mem      *cluster.MemParams
+	win      *Win
+	tn       int // the target's node
+	target   int
+	lockType int
+}
+
+// lockSite checks that r may lock w's target segment — windows are locked
+// from the hosting node — and returns the site op addresses.
+func (w *Win) lockSite(r *Rank, target, lockType int, op string) lockSite {
 	tn := w.targetNode(target)
 	if tn != r.node {
-		panic(fmt.Sprintf("mpi: NewLockCont on %s[%d] from another node", w.name, target))
+		panic(fmt.Sprintf("mpi: %s on %s[%d] from another node", op, w.name, target))
 	}
-	mem := &wld.cfg.Mem
-	pt := wld.memPort[tn]
-	eng := wld.eng
-	check := func() {
-		ls := &w.locks[target]
-		if lockType == LockExclusive {
-			if !ls.excl && ls.readers == 0 {
-				ls.excl = true
-				w.LockAcquisitions++
-				cont()
-				return
-			}
-		} else {
-			if !ls.excl {
-				ls.readers++
-				w.LockAcquisitions++
-				cont()
-				return
-			}
-		}
-		// Contended: park on the coalesced poller machinery, exactly as the
-		// literal loop registered itself after its first failed check.
-		born := eng.Now()
-		pl := r.pooledPoller()
-		*pl = poller{
-			win: w, target: target, lockType: lockType, cont: cont,
-			at: born + mem.PollInterval, born: born,
-		}
-		pt.pushPoller(pl)
+	wld := w.world
+	return lockSite{wld, wld.eng, wld.memPort[tn], &wld.cfg.Mem, w, tn, target, lockType}
+}
+
+// lockIssuer is one NewLockCont issuer.
+type lockIssuer struct {
+	lockSite
+	cont           func()
+	issue, checkFn func()
+	// pl is the issuer's parked attempt: an issuer has at most one lock
+	// attempt outstanding, so the contended path allocates nothing.
+	pl poller
+}
+
+// attempt is the literal first attempt: one RMA round through the port.
+func (is *lockIssuer) attempt() {
+	is.win.LockAttempts++
+	eng, pt := is.eng, is.pt
+	if pt.pending() {
+		is.w.advancePort(is.tn, eng.Now(), eng.EventScheduledAt(), false)
 	}
-	return func() {
-		// Literal first attempt: one RMA round through the port.
-		w.LockAttempts++
-		if pt.pending() {
-			wld.advancePort(tn, eng.Now(), eng.EventScheduledAt(), false)
+	now := eng.Now()
+	done := pt.srv.ServeAsync(now, is.mem.LockAttempt)
+	chk := now + (done - now) // Serve's wake arithmetic, bit for bit
+	eng.ScheduleAsOf(chk, now, is.checkFn)
+}
+
+// check is the first attempt's lock-word check.
+func (is *lockIssuer) check() {
+	w := is.win
+	ls := &w.locks[is.target]
+	if is.lockType == LockExclusive {
+		if !ls.excl && ls.readers == 0 {
+			ls.excl = true
+			w.LockAcquisitions++
+			is.cont()
+			return
 		}
-		now := eng.Now()
-		done := pt.srv.ServeAsync(now, mem.LockAttempt)
-		chk := now + (done - now) // Serve's wake arithmetic, bit for bit
-		eng.ScheduleAsOf(chk, now, check)
+	} else if !ls.excl {
+		ls.readers++
+		w.LockAcquisitions++
+		is.cont()
+		return
 	}
+	// Contended: park on the coalesced poller machinery, exactly as the
+	// literal loop registered itself after its first failed check.
+	born := is.eng.Now()
+	is.pl = poller{
+		win: w, target: is.target, lockType: is.lockType, cont: is.cont,
+		at: born + is.mem.PollInterval, born: born,
+	}
+	is.pt.pushPoller(&is.pl)
 }
 
 // NewUnlockCont returns a reusable MPI_Win_unlock issuer: issue(arrival,
@@ -590,46 +622,63 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 // so everything cont schedules gets the same relative order. The release is
 // itself an RMA round (it flushes pending operations), so it competes with
 // poll attempts at the port. At most one unlock may be in flight per issuer.
+// Like NewLockCont's, the issuer is recycled from r.
 func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim.Time)) func(arrival, born sim.Time) {
-	wld := w.world
-	tn := w.targetNode(target)
-	if tn != r.node {
-		panic(fmt.Sprintf("mpi: NewUnlockCont on %s[%d] from another node", w.name, target))
+	site := w.lockSite(r, target, lockType, "NewUnlockCont")
+	is, fresh := nextIssuer(&r.unlocks, &r.nunlock)
+	if fresh {
+		is.issue, is.arriveFn, is.releaseFn = is.schedule, is.arrive, is.release
 	}
-	pt := wld.memPort[tn]
-	eng := wld.eng
-	var arrival, release sim.Time
-	releaseFn := func() {
-		if pt.pending() {
-			wld.advancePort(tn, release, eng.EventScheduledAt(), false)
+	is.lockSite, is.cont = site, cont
+	return is.issue
+}
+
+// unlockIssuer is one NewUnlockCont issuer.
+type unlockIssuer struct {
+	lockSite
+	cont                func(release sim.Time)
+	arrival, releaseAt  sim.Time // the unlock in flight
+	issue               func(arrival, born sim.Time)
+	arriveFn, releaseFn func()
+}
+
+// schedule issues the unlock: its arrival half runs in an event at
+// (arrival, born).
+func (is *unlockIssuer) schedule(arrival, born sim.Time) {
+	is.arrival = arrival
+	is.eng.ScheduleAsOf(arrival, born, is.arriveFn)
+}
+
+// arrive is the unlock's RMA round reaching the port.
+func (is *unlockIssuer) arrive() {
+	if is.pt.pending() {
+		is.w.advancePort(is.tn, is.arrival, is.eng.EventScheduledAt(), false)
+	}
+	done := is.pt.srv.ServeAsync(is.arrival, is.mem.SharedWinOp)
+	is.releaseAt = is.arrival + (done - is.arrival)
+	is.eng.ScheduleAsOf(is.releaseAt, is.arrival, is.releaseFn)
+}
+
+// release frees the lock at the service completion and resumes the caller.
+func (is *unlockIssuer) release() {
+	if is.pt.pending() {
+		is.w.advancePort(is.tn, is.releaseAt, is.eng.EventScheduledAt(), false)
+	}
+	w := is.win
+	ls := &w.locks[is.target]
+	if is.lockType == LockExclusive {
+		if !ls.excl {
+			panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, is.target))
 		}
-		ls := &w.locks[target]
-		if lockType == LockExclusive {
-			if !ls.excl {
-				panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, target))
-			}
-			ls.excl = false
-		} else {
-			if ls.readers <= 0 {
-				panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, target))
-			}
-			ls.readers--
+		ls.excl = false
+	} else {
+		if ls.readers <= 0 {
+			panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, is.target))
 		}
-		wld.reconcilePort(tn)
-		cont(release)
+		ls.readers--
 	}
-	arriveFn := func() {
-		if pt.pending() {
-			wld.advancePort(tn, arrival, eng.EventScheduledAt(), false)
-		}
-		done := pt.srv.ServeAsync(arrival, wld.cfg.Mem.SharedWinOp)
-		release = arrival + (done - arrival)
-		eng.ScheduleAsOf(release, arrival, releaseFn)
-	}
-	return func(arr, born sim.Time) {
-		arrival = arr
-		eng.ScheduleAsOf(arr, born, arriveFn)
-	}
+	is.w.reconcilePort(is.tn)
+	is.cont(is.releaseAt)
 }
 
 // NewFetchAndOpCont returns a reusable MPI_Fetch_and_op (MPI_SUM) issuer on
@@ -640,52 +689,81 @@ func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim
 // waits occupied, then atomically adds delta to the word and runs cont(old)
 // inline at the completion event, where that caller resumed. With delta 0
 // it is an atomic read (MPI_NO_OP). At most one operation may be in flight
-// per issuer; the issuer and its closures are allocated once, so
-// steady-state issues allocate nothing.
+// per issuer. Like NewLockCont's, the issuer is recycled from r, so a warm
+// rank allocates nothing here or per issue.
 func (w *Win) NewFetchAndOpCont(r *Rank) func(target, offset int, delta int64, cont func(old int64)) {
+	is, fresh := nextIssuer(&r.fops, &r.nfop)
+	if fresh {
+		is.issue = is.start
+		is.finishFn, is.servedRemoteFn, is.arriveRemoteFn = is.finish, is.servedRemote, is.arriveRemote
+	}
 	wld := w.world
-	eng := wld.eng
-	net := &wld.cfg.Net
-	var (
-		target, offset int
-		delta          int64
-		cont           func(int64)
-	)
-	finish := func() {
-		old := w.data[target][offset]
-		w.data[target][offset] = old + delta
-		cont(old)
+	is.w, is.eng, is.cfg, is.win, is.node = wld, wld.eng, wld.cfg, w, r.node
+	return is.issue
+}
+
+// fopIssuer is one NewFetchAndOpCont issuer, refreshed like lockIssuer.
+type fopIssuer struct {
+	w    *World
+	eng  *sim.Engine
+	cfg  *cluster.Config
+	win  *Win
+	node int // the requesting rank's node
+	// The operation in flight.
+	target, offset int
+	delta          int64
+	cont           func(int64)
+
+	issue                                    func(target, offset int, delta int64, cont func(old int64))
+	finishFn, servedRemoteFn, arriveRemoteFn func()
+}
+
+// start issues one operation: a node-local target is served at once, a
+// remote one after the wire latency.
+func (is *fopIssuer) start(target, offset int, delta int64, cont func(int64)) {
+	is.target, is.offset, is.delta, is.cont = target, offset, delta, cont
+	w := is.win
+	w.AtomicOps++
+	tn := w.targetNode(target)
+	eng := is.eng
+	now := eng.Now()
+	if tn != is.node {
+		eng.ScheduleAsOf(now+is.cfg.Net.Latency, now, is.arriveRemoteFn)
+		return
 	}
-	servedRemote := func() {
-		now := eng.Now()
-		eng.ScheduleAsOf(now+net.Latency, now, finish)
+	pt := is.w.memPort[tn]
+	if pt.pending() {
+		is.w.advancePort(tn, now, eng.EventScheduledAt(), false)
 	}
-	arriveRemote := func() {
-		tn := w.targetNode(target)
-		pt := wld.memPort[tn]
-		if pt.pending() {
-			wld.advancePort(tn, eng.Now(), eng.EventScheduledAt(), false)
-		}
-		now := eng.Now()
-		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp+net.PortService)
-		eng.ScheduleAsOf(now+(done-now), now, servedRemote)
+	done := pt.srv.ServeAsync(now, is.cfg.Mem.SharedWinOp)
+	eng.ScheduleAsOf(now+(done-now), now, is.finishFn)
+}
+
+// arriveRemote is a remote operation reaching the target's port.
+func (is *fopIssuer) arriveRemote() {
+	tn := is.win.targetNode(is.target)
+	pt := is.w.memPort[tn]
+	eng := is.eng
+	if pt.pending() {
+		is.w.advancePort(tn, eng.Now(), eng.EventScheduledAt(), false)
 	}
-	return func(t, off int, d int64, c func(int64)) {
-		target, offset, delta, cont = t, off, d, c
-		w.AtomicOps++
-		tn := w.targetNode(target)
-		now := eng.Now()
-		if tn != r.node {
-			eng.ScheduleAsOf(now+net.Latency, now, arriveRemote)
-			return
-		}
-		pt := wld.memPort[tn]
-		if pt.pending() {
-			wld.advancePort(tn, now, eng.EventScheduledAt(), false)
-		}
-		done := pt.srv.ServeAsync(now, wld.cfg.Mem.SharedWinOp)
-		eng.ScheduleAsOf(now+(done-now), now, finish)
-	}
+	now := eng.Now()
+	done := pt.srv.ServeAsync(now, is.cfg.Mem.SharedWinOp+is.cfg.Net.PortService)
+	eng.ScheduleAsOf(now+(done-now), now, is.servedRemoteFn)
+}
+
+// servedRemote sends a remote operation's reply back over the wire.
+func (is *fopIssuer) servedRemote() {
+	now := is.eng.Now()
+	is.eng.ScheduleAsOf(now+is.cfg.Net.Latency, now, is.finishFn)
+}
+
+// finish applies the operation and resumes the caller with the old value.
+func (is *fopIssuer) finish() {
+	seg := is.win.data[is.target]
+	old := seg[is.offset]
+	seg[is.offset] = old + is.delta
+	is.cont(old)
 }
 
 // Shared returns the target segment of a shared window for direct

@@ -94,7 +94,7 @@ type Team struct {
 	// atomicPort serializes dynamic/guided chunk grabs (one cache line).
 	atomicPort sim.Server
 
-	// Costs; zero values are replaced by defaults in NewTeam.
+	// Costs, set to their defaults by NewTeam and Reset.
 	ForkJoin sim.Time // fork + join overhead charged to the master per loop
 	Barrier  sim.Time // implicit-barrier signalling cost per thread
 
@@ -109,17 +109,36 @@ type Team struct {
 
 // NewTeam creates a team of the given size on node.
 func NewTeam(eng *sim.Engine, cl *cluster.Config, node, threads int) (*Team, error) {
-	if threads <= 0 || threads > cl.Cores(node) {
-		return nil, fmt.Errorf("openmp: team of %d threads on %d-core node", threads, cl.Cores(node))
+	t := &Team{}
+	if err := t.Reset(eng, cl, node, threads); err != nil {
+		return nil, err
 	}
-	return &Team{
+	return t, nil
+}
+
+// Reset reinitializes t in place as the team NewTeam(eng, cl, node,
+// threads) builds: default costs, a free atomic port, zeroed statistics.
+// A pooled team keeps its spare loop object, thread machines included,
+// when its size and engine are unchanged, so a warm team builds nothing.
+// It must not be called while a loop of the team is in flight.
+func (t *Team) Reset(eng *sim.Engine, cl *cluster.Config, node, threads int) error {
+	if threads <= 0 || threads > cl.Cores(node) {
+		return fmt.Errorf("openmp: team of %d threads on %d-core node", threads, cl.Cores(node))
+	}
+	spare := t.spare
+	if spare != nil && (t.eng != eng || t.threads != threads) {
+		spare = nil // its machines are bound to the old engine or size
+	}
+	*t = Team{
 		eng:      eng,
 		cl:       cl,
 		node:     node,
 		threads:  threads,
 		ForkJoin: 1.5 * sim.Microsecond,
 		Barrier:  0.8 * sim.Microsecond,
-	}, nil
+		spare:    spare,
+	}
+	return nil
 }
 
 // For describes one worksharing loop over [0, N).
@@ -142,7 +161,10 @@ type For struct {
 
 // ForResult reports one loop execution.
 type ForResult struct {
-	ThreadFinish []sim.Time // absolute finish time per thread
+	// ThreadFinish is the absolute finish time per thread. The slice
+	// belongs to the loop object, which the team reuses for its next
+	// ParallelFor: cont may read it but must not keep it.
+	ThreadFinish []sim.Time
 	MaxFinish    sim.Time
 	BarrierWait  sim.Time // Σ (MaxFinish − finish), 0 under NoWait
 	Chunks       int
@@ -210,7 +232,8 @@ func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 	}
 	t.spare = nil
 	lp.f, lp.cont = f, cont
-	lp.res = ForResult{ThreadFinish: make([]sim.Time, t.threads)}
+	lp.res = ForResult{ThreadFinish: lp.res.ThreadFinish}
+	clear(lp.res.ThreadFinish)
 	lp.ndone, lp.chunks, lp.joined, lp.left = 0, 0, false, false
 	st := &lp.st
 	st.next, st.step, st.sched = 0, 0, nil
@@ -229,6 +252,7 @@ func (t *Team) ParallelFor(f For, cont func(ForResult)) {
 // newLoop builds a loop object and its threads' machines.
 func (t *Team) newLoop() *loop {
 	lp := &loop{t: t, threads: make([]thread, t.threads)}
+	lp.res.ThreadFinish = make([]sim.Time, t.threads)
 	lp.forkFn, lp.joinFn, lp.leaveFn = lp.fork, lp.join, lp.leave
 	eng, f, st := t.eng, &lp.f, &lp.st
 	for tid := range lp.threads {
