@@ -1,7 +1,6 @@
 GO ?= go
-DATE := $(shell date -u +%Y-%m-%d)
 
-.PHONY: test bench sweep vet fmt doclint serve smoke fleet-smoke castore-smoke soak check checks-smoke
+.PHONY: test bench bench-stress sweep vet fmt doclint serve smoke fleet-smoke castore-smoke soak check checks-smoke
 
 test:
 	$(GO) build ./... && $(GO) test ./...
@@ -48,24 +47,16 @@ castore-smoke:
 soak:
 	scripts/fleet_soak.sh
 
-# bench writes the BENCH_<date>$(SUFFIX).json perf snapshot: the figure
-# sweep at the benchmark scale, the result-store cold/warm/disk-warm rows
-# (cmd/cachebench merges them under "serve_cache"), plus the kernel
-# microbenchmarks to stderr.
-# The node axis spans 2..16 (the paper's full system-size sweep): the 8n/16n
-# cells are the large-P rows — 128/256 ranks per cell — and make up most of
-# the sweep's wall time. Commit the JSON to extend the perf trajectory; set
-# SUFFIX (e.g. SUFFIX=b) when a snapshot for the date already exists, so the
-# trajectory keeps both points.
-SUFFIX ?=
+# bench runs the end-to-end benchmark (BENCHMARK.json, bench/README.md):
+# four workloads against fresh hdlsd daemons, five metrics each. For an
+# A/B verdict run it in both trees and compare the two outputs with
+# `bash bench/run.sh compare`.
 bench:
-	$(GO) run ./cmd/hdlsweep -scale 64 -nodes 2,4,8,16 -q -json BENCH_$(DATE)$(SUFFIX).json
-	$(GO) run ./cmd/cachebench -scale 64 -nodes 2,4,8,16 -json BENCH_$(DATE)$(SUFFIX).json
-	$(GO) test ./internal/sim -bench Kernel -benchmem -run '^$$' | tee -a /dev/stderr >/dev/null
+	bash bench/run.sh
 
 # bench-stress times the opt-in 64-node cells (1024 ranks each) — the
-# large-P extreme kept outside the committed snapshot trajectory because a
-# single cell takes seconds. Useful when touching the collectives, the
+# large-P extreme kept outside the benchmark's workloads because a single
+# cell takes seconds. Useful when touching the collectives, the
 # arena pool, or the event queue's spill-to-heap path.
 bench-stress:
 	$(GO) run ./cmd/hdlsweep -figure 5 -scale 64 -nodes 64 -q
@@ -89,12 +80,6 @@ check:
 # check (exit 1), never crash the harness.
 checks-smoke:
 	scripts/checks_smoke.sh
-
-# bench-check is the in-process form of `make check`: the quick class with
-# goals enforced, named per failing check (wall-clock sensitive: run on a
-# quiet machine; CI's perf job does).
-bench-check:
-	BENCH_TREND=1 $(GO) test -run TestBenchTrend -v .
 
 # sweep regenerates the paper evaluation at the quick default scale (1/8
 # workloads); set SCALE=1 for the full-size numbers (minutes).

@@ -8,9 +8,9 @@
 // see workload docs) and prints the series once in the paper's layout.
 // Sweep cells execute on the host-core worker pool, so ns/op reflects the
 // parallel sweep. Regenerate the full-scale numbers with:
-// go run ./cmd/hdlsweep -scale 1. `make bench` records a BENCH_<date>.json
-// perf snapshot (host throughput + cell values); kernel-level costs are
-// isolated by the BenchmarkKernel* microbenchmarks in internal/sim.
+// go run ./cmd/hdlsweep -scale 1. `make bench` runs the end-to-end
+// benchmark of the hdlsd stack (bench/); kernel-level costs are isolated
+// by the BenchmarkKernel* microbenchmarks in internal/sim.
 package repro_test
 
 import (

@@ -9,11 +9,9 @@
 //	check quick/fig4-grid: PASS
 //	check quick/serve-stream: FAIL: p99_stream_ms 312 > goal 250ms
 //
-// Without -hdlsd the cases run against an in-process daemon — the same
-// engine, but a daemon crash cannot be distinguished from a harness
-// crash, so CI uses the subprocess mode. -seed-bench converts committed
-// BENCH_*.json snapshots into trend rows so a fresh history starts from
-// the repo's existing measurements instead of nothing.
+// -hdlsd is required whenever cases run: a daemon that dies mid-case must
+// fail its check by name, which only a subprocess can show. -list needs no
+// daemon.
 package main
 
 import (
@@ -36,13 +34,11 @@ func main() {
 	var (
 		dir      = flag.String("dir", "checks", "checks tree root")
 		class    = flag.String("class", "quick", "machine class to run")
-		binary   = flag.String("hdlsd", "", "hdlsd binary; each case gets a fresh subprocess daemon (empty = in-process engine)")
+		binary   = flag.String("hdlsd", "", "hdlsd binary; each case gets a fresh subprocess daemon (required unless -list)")
 		workers  = flag.Int("workers", 0, "daemon worker pool per case (0 = GOMAXPROCS)")
 		trendDir = flag.String("trend", "", "trend history directory (default <dir>/trend; \"none\" disables the append)")
-		pidFile  = flag.String("daemon-pidfile", "", "write each case's live daemon PID here (subprocess mode; for fault-injection harnesses)")
+		pidFile  = flag.String("daemon-pidfile", "", "write each case's live daemon PID here (for fault-injection harnesses)")
 		list     = flag.Bool("list", false, "list classes and cases, run nothing")
-		seed     = flag.String("seed-bench", "", "append a trend row converted from this BENCH_*.json snapshot, run nothing")
-		seedAs   = flag.String("seed-check", "bench/figure-grid", "check name for -seed-bench rows")
 		verbose  = flag.Bool("v", false, "stream daemon logs to stderr")
 	)
 	flag.Parse()
@@ -67,36 +63,16 @@ func main() {
 		return
 	}
 
-	if *seed != "" {
-		row, err := checks.RowFromBenchSnapshot(*seed, *seedAs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		path := filepath.Join(trend, *class+".ndjson")
-		if err := checks.AppendRows(path, []checks.Row{row}); err != nil {
-			fatalf("%v", err)
-		}
-		fmt.Printf("hdlscheck: seeded %s from %s\n", path, *seed)
-		return
+	if *binary == "" {
+		fatalf("-hdlsd is required to run cases (build one with: go build -o bin/hdlsd ./cmd/hdlsd)")
 	}
-
 	cl, err := tree.Class(*class)
 	if err != nil {
 		fatalf("%v", err)
 	}
-
-	var exec checks.Executor
-	if *binary != "" {
-		de := &checks.DaemonExecutor{Binary: *binary, Workers: *workers, PidFile: *pidFile}
-		if *verbose {
-			de.Stderr = os.Stderr
-		}
-		exec = de
-	} else {
-		if *pidFile != "" {
-			fatalf("-daemon-pidfile needs -hdlsd (no subprocess to report)")
-		}
-		exec = &checks.InProcessExecutor{Workers: *workers}
+	exec := &checks.DaemonExecutor{Binary: *binary, Workers: *workers, PidFile: *pidFile}
+	if *verbose {
+		exec.Stderr = os.Stderr
 	}
 
 	host := checks.Calibrate()

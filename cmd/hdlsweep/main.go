@@ -9,7 +9,6 @@
 //	hdlsweep -scale 1           # full-size workloads (minutes)
 //	hdlsweep -extended          # fill the paper's n/a cells via the
 //	                            # extended (libGOMP-style) OpenMP runtime
-//	hdlsweep -json BENCH_x.json # also write a perf snapshot (see `make bench`)
 //
 // The robustness mode compares inter-node techniques under a scenario
 // (heterogeneous topology × perturbations × synthetic workload) instead of
@@ -22,12 +21,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -36,33 +33,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/sim"
 )
-
-// benchSnapshot is the schema of the -json perf snapshot: enough to track
-// the simulator's host-side throughput across kernel changes (the BENCH_*
-// trajectory) together with the virtual results it produced.
-type benchSnapshot struct {
-	Date        string  `json:"date"`
-	GoVersion   string  `json:"go_version"`
-	GOMAXPROCS  int     `json:"gomaxprocs"`
-	Scale       int     `json:"scale"`
-	Nodes       []int   `json:"nodes"`
-	Figures     []int   `json:"figures"`
-	Cells       int     `json:"cells"`
-	WallSeconds float64 `json:"wall_seconds"`
-	CellsPerSec float64 `json:"cells_per_second"`
-	// VirtualSeconds sums simulated time over all cells: the ratio of
-	// simulated to host time is the kernel's headline throughput metric.
-	VirtualSeconds  float64 `json:"virtual_seconds"`
-	SimPerHostRatio float64 `json:"sim_per_host_ratio"`
-	// CalibScore is the host's single-core integer throughput measured
-	// right after the sweep (cliutil.CalibScore); the bench-trend check
-	// compares cells/second normalized by it, so snapshots stay comparable
-	// across host classes and neighbour load.
-	CalibScore float64            `json:"calib_score,omitempty"`
-	Tables     map[string]float64 `json:"cell_seconds"`
-	// Robustness carries the scenario sweeps run with -robust.
-	Robustness []*hdls.RobustnessResult `json:"robustness,omitempty"`
-}
 
 func main() {
 	var (
@@ -74,9 +44,7 @@ func main() {
 		outDir   = flag.String("out", "", "directory for per-figure CSV files (optional)")
 		quiet    = flag.Bool("q", false, "suppress per-cell progress")
 		withEff  = flag.Bool("eff", false, "also print parallel-efficiency tables")
-		jsonOut  = flag.String("json", "", "write a BENCH_*.json perf snapshot to this path")
 		par      = flag.Int("p", 0, "max concurrent figure cells (0 = all cores)")
-		parallel = flag.Int("parallel", 0, "alias of -p: max concurrent cells (0 = all cores)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProf  = flag.String("memprofile", "", "write a heap profile to this path on exit")
 
@@ -96,9 +64,6 @@ func main() {
 		wlSpec   = flag.String("workload", "", "workload spec (workload.ParseSpec) overriding the app kernels")
 	)
 	flag.Parse()
-	if *par == 0 {
-		*par = *parallel
-	}
 
 	stopProf, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	fatalIf(err)
@@ -118,7 +83,7 @@ func main() {
 			speedCSV: *speedCSV, coreCSV: *coreCSV, noise: *noiseCV,
 			slowRate: *slowRate, slowFac: *slowFac, slowDur: *slowDur, bgCSV: *bgCSV,
 			workload: *wlSpec, scale: *scale, seed: *seed, par: *par, repeat: *repeat,
-			outDir: *outDir, jsonOut: *jsonOut, quiet: *quiet,
+			outDir: *outDir, quiet: *quiet,
 		})
 		return // the deferred stopProf finishes the profiles
 	}
@@ -130,15 +95,6 @@ func main() {
 	apps := []hdls.App{hdls.Mandelbrot, hdls.PSIA}
 
 	start := time.Now()
-	snap := benchSnapshot{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Scale:      *scale,
-		Nodes:      nodes,
-		Figures:    figures,
-		Tables:     map[string]float64{},
-	}
 	for _, fig := range figures {
 		for _, app := range apps {
 			opt := hdls.FigureOptions{
@@ -157,7 +113,6 @@ func main() {
 				fmt.Println(fr.EfficiencyTable(*scale, 16))
 			}
 			printRatios(fr)
-			recordCells(&snap, fr)
 			if *outDir != "" {
 				fatalIf(os.MkdirAll(*outDir, 0o755))
 				name := filepath.Join(*outDir, fmt.Sprintf("figure%d_%s.csv", fig, strings.ToLower(app.String())))
@@ -166,38 +121,7 @@ func main() {
 			}
 		}
 	}
-	wall := time.Since(start).Seconds()
-	fmt.Printf("sweep complete in %.1fs\n", wall)
-	if *jsonOut != "" {
-		snap.WallSeconds = wall
-		if wall > 0 {
-			snap.CellsPerSec = float64(snap.Cells) / wall
-			snap.SimPerHostRatio = snap.VirtualSeconds / wall
-		}
-		snap.CalibScore = cliutil.CalibScore()
-		buf, err := json.MarshalIndent(&snap, "", "  ")
-		fatalIf(err)
-		fatalIf(os.WriteFile(*jsonOut, append(buf, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
-}
-
-// recordCells folds one figure's results into the perf snapshot.
-func recordCells(snap *benchSnapshot, fr *hdls.FigureResult) {
-	for ii, intra := range fr.Intras {
-		for ni, n := range fr.Nodes {
-			for _, ap := range fr.Approaches {
-				v := fr.Times[ap][ii][ni]
-				if v != v { // NaN: unsupported cell
-					continue
-				}
-				key := fmt.Sprintf("fig%d/%s/%v+%v/%dn/%v", fr.Figure, fr.App, fr.Inter, intra, n, ap)
-				snap.Tables[key] = v
-				snap.Cells++
-				snap.VirtualSeconds += v
-			}
-		}
-	}
+	fmt.Printf("sweep complete in %.1fs\n", time.Since(start).Seconds())
 }
 
 // printRatios summarizes each intra column as the MPI+OpenMP / MPI+MPI
@@ -235,7 +159,7 @@ type robustFlags struct {
 	scale                    int
 	seed                     int64
 	par, repeat              int
-	outDir, jsonOut          string
+	outDir                   string
 	quiet                    bool
 }
 
@@ -291,30 +215,6 @@ func runRobust(f robustFlags) {
 		name := filepath.Join(f.outDir, "robustness.csv")
 		fatalIf(os.WriteFile(name, []byte(rr.CSV()), 0o644))
 		fmt.Printf("wrote %s\n", name)
-	}
-	if f.jsonOut != "" {
-		snap := benchSnapshot{
-			Date:       time.Now().UTC().Format("2006-01-02"),
-			GoVersion:  runtime.Version(),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Scale:      f.scale,
-			Robustness: []*hdls.RobustnessResult{rr},
-			Tables:     map[string]float64{},
-		}
-		for _, row := range rr.Rows {
-			snap.Tables[fmt.Sprintf("robust/%s/%s", rr.Scenario, row.Technique)] = row.ParallelTime
-			snap.Cells++
-			snap.VirtualSeconds += row.ParallelTime
-		}
-		snap.WallSeconds = time.Since(start).Seconds()
-		if snap.WallSeconds > 0 {
-			snap.CellsPerSec = float64(snap.Cells) / snap.WallSeconds
-			snap.SimPerHostRatio = snap.VirtualSeconds / snap.WallSeconds
-		}
-		buf, err := json.MarshalIndent(&snap, "", "  ")
-		fatalIf(err)
-		fatalIf(os.WriteFile(f.jsonOut, append(buf, '\n'), 0o644))
-		fmt.Printf("wrote %s\n", f.jsonOut)
 	}
 	fmt.Printf("robustness sweep complete in %.1fs\n", time.Since(start).Seconds())
 }

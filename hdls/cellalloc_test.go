@@ -13,8 +13,7 @@ import (
 // benchmark's small cells under each executor and inter technique, and the
 // largest cell of the paper's figure grid under both hybrid approaches.
 // The trailing comments give the counts from before the simulated machine
-// was pooled. The grid cells' one allocation is the key of the PSIA
-// profile memo (workload.PSIAProfile).
+// was pooled.
 var cellAllocShapes = []struct {
 	cfg  hdls.Config
 	want float64
@@ -28,8 +27,8 @@ var cellAllocShapes = []struct {
 	{smallAllocCell(hdls.MPIOpenMP, dls.TSS), 0},        // 143
 	{smallAllocCell(hdls.MPIOpenMP, dls.FAC2), 0},       // 158
 	{smallAllocCell(hdls.MPIOpenMPNoWait, dls.FAC2), 0}, // 119
-	{gridAllocCell(hdls.MPIMPI, dls.SS), 1},             // 13,493
-	{gridAllocCell(hdls.MPIOpenMP, dls.GSS), 1},         // 2,455
+	{gridAllocCell(hdls.MPIMPI, dls.SS), 0},             // 13,493
+	{gridAllocCell(hdls.MPIOpenMP, dls.GSS), 0},         // 2,455
 }
 
 // smallAllocCell is the benchmark's small cell: 2 nodes × 4 workers on

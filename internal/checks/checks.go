@@ -19,9 +19,8 @@
 //
 // instead of a raw regression percentage. Throughput floors are declared
 // relative to the machine class's reference calibration and scaled to the
-// measured host, the same load-normalization the old bench-trend smoke
-// used; hosts outside the class's calibration band skip the class rather
-// than producing meaningless wall-clock verdicts.
+// measured host; hosts outside the class's calibration band skip the class
+// rather than producing meaningless wall-clock verdicts.
 package checks
 
 import (
@@ -102,8 +101,9 @@ type Host struct {
 }
 
 // Calibrate measures the current host: core count plus a ~100ms
-// single-core integer-throughput kernel (cliutil.CalibScore — the same
-// score the BENCH snapshots record, so trend rows stay comparable).
+// single-core integer-throughput kernel (cliutil.CalibScore). Trend rows
+// record the score, so rows from differently powered hosts stay
+// comparable.
 func Calibrate() Host {
 	return Host{
 		Cores:     runtime.NumCPU(),

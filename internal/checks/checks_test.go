@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -325,33 +326,6 @@ func TestTrendRoundTrip(t *testing.T) {
 	})
 }
 
-// TestRowFromBenchSnapshot converts a committed-snapshot shape into a
-// seed row.
-func TestRowFromBenchSnapshot(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_2026-08-07.json")
-	snap := `{
-		"date": "2026-08-07", "go_version": "go1.24.0", "calib_score": 707,
-		"cells_per_second": 70.8,
-		"serve_cache": {"cold": {"cells_per_second": 56.4}, "warm_speedup": 442.5}
-	}`
-	if err := os.WriteFile(path, []byte(snap), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	row, err := RowFromBenchSnapshot(path, "bench/figure-grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Check != "bench/figure-grid" || row.Time != "2026-08-07T00:00:00Z" {
-		t.Errorf("row = %+v", row)
-	}
-	if row.Measured[MetricCellsPerSecond] != 56.4 || row.Measured[MetricWarmSpeedup] != 442.5 {
-		t.Errorf("measured = %v", row.Measured)
-	}
-	if _, err := RowFromBenchSnapshot(filepath.Join(t.TempDir(), "nope.json"), "x"); err == nil {
-		t.Error("missing snapshot accepted")
-	}
-}
-
 // TestRunCaseEndToEnd is the serving-path e2e: real cases executed
 // against an in-process hdlsd, goals evaluated from real /metrics
 // scrapes, the sweep target's replay pass hitting the real store. Runs
@@ -431,10 +405,33 @@ func TestRunCaseEndToEnd(t *testing.T) {
 			}
 		}
 	})
+
+	t.Run("rejected sweeps fail the case", func(t *testing.T) {
+		// A typoed workload loads (the loader does not parse specs), and the
+		// daemon rejects every sweep with 400. Its goals would all pass on
+		// the empty latency sample.
+		typoed := *class.Cases[1] // the serve case
+		load := *typoed.Spec.Load
+		load.Workload = "constnat:n=256"
+		typoed.Spec.Load = &load
+		res := runner.RunCase(&typoed, 1)
+		if res.Err == nil {
+			t.Fatalf("case with every sweep rejected did not fail structurally: %s, measured %v",
+				res.Summary(), res.Measured)
+		}
+		for _, part := range []string{"check test/serve", "0 of 4 sweeps completed", "400:4"} {
+			if !strings.Contains(res.Summary(), part) {
+				t.Errorf("summary %q missing %q", res.Summary(), part)
+			}
+		}
+	})
 }
 
 // TestCommittedTree loads the repo's real checks/ tree, so a broken
-// case.json fails `go test ./...` before it can break `make check`.
+// case.json fails `go test ./...` before it can break `make check`, and
+// runs the quick class in-process, so a case the daemon cannot serve
+// fails here too. Goal verdicts are wall-clock bound and stay `make
+// check`'s job.
 func TestCommittedTree(t *testing.T) {
 	tree, err := Load(filepath.Join("..", "..", "checks"))
 	if err != nil {
@@ -449,11 +446,37 @@ func TestCommittedTree(t *testing.T) {
 	if len(quick.Cases) < 3 {
 		t.Errorf("quick class has %d cases, want >= 3", len(quick.Cases))
 	}
+	warmGate := false
 	for _, c := range quick.Cases {
 		if len(c.Goals) == 0 {
 			t.Errorf("case %s has no goals", c.CheckName())
 		}
+		if c.Spec.Target != TargetSweep || c.Spec.Sweep.passes() < 2 {
+			continue
+		}
+		for _, g := range c.Goals {
+			warmGate = warmGate || (g.Metric == MetricWarmSpeedup && g.Limit >= 5)
+		}
 	}
+	// A memory tier that stops hitting replays at about 1x cold.
+	if !warmGate {
+		t.Error("no quick-class sweep case with passes >= 2 declares warm_speedup_min >= 5")
+	}
+
+	t.Run("quick class in-process", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns daemons and simulates; skipped under -short")
+		}
+		// The host is pinned to the class reference, so a slow host
+		// cannot turn the run into skips.
+		host := Host{Cores: runtime.NumCPU(), CalibMops: quick.Machine.CalibRefMops}
+		runner := &Runner{Exec: &InProcessExecutor{}, Host: host}
+		for _, res := range runner.RunClass(quick) {
+			if res.Err != nil || res.Status == StatusSkip {
+				t.Error(res.Summary())
+			}
+		}
+	})
 }
 
 // TestGridCellsMatchesBench pins the shared grid enumeration to the

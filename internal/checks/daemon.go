@@ -15,11 +15,11 @@ import (
 )
 
 // InProcessExecutor runs cases against an in-process serve.Server behind
-// an httptest listener: the no-daemon fallback the Go tests use, and what
-// `go test ./...` exercises without building cmd/hdlsd. Each case still
-// gets a fresh server and a fresh store, so measurements match the
-// subprocess executor's cold-start semantics; what it cannot reproduce is
-// a daemon dying independently of the harness, which is exactly what the
+// an httptest listener: the executor the Go tests use, so `go test ./...`
+// runs cases without building cmd/hdlsd. Each case still gets a fresh
+// server and a fresh store, so measurements match the subprocess
+// executor's cold-start semantics; what it cannot reproduce is a daemon
+// dying independently of the harness, which is exactly what the
 // subprocess executor exists to gate.
 type InProcessExecutor struct {
 	// Workers is the per-case worker pool (0 = GOMAXPROCS).

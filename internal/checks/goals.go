@@ -15,7 +15,8 @@ const (
 	// MetricCellsPerSecond is cold-pass sweep throughput (sweep target).
 	MetricCellsPerSecond = "cells_per_second"
 	// MetricWarmSpeedup is the last pass's throughput over the first's
-	// (sweep target with passes >= 2 — the cachebench warm-over-cold gate).
+	// (sweep target with passes >= 2). A memory tier that stops hitting
+	// reads about 1, so a floor of a few times catches it.
 	MetricWarmSpeedup = "warm_speedup"
 	// MetricRequestsPerSecond is completed sweeps per second (serve/soak).
 	MetricRequestsPerSecond = "requests_per_second"

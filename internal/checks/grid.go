@@ -11,10 +11,9 @@ import (
 // does — figure × application × intra-node technique × node count ×
 // approach — skipping the MPI+OpenMP TSS/FAC2 cells the stock Intel
 // runtime cannot run (DESIGN.md §5). It is the shared cell generator for
-// the checks runner's sweep target and cmd/cachebench, so both gate the
-// same grid `make bench` times through hdlsweep. Unknown figures and
-// empty axes are named errors, surfaced when the case is loaded rather
-// than mid-run.
+// the checks runner's sweep target and the benchmark's grid-cold workload
+// (bench/), so both time the same cells. Unknown figures and empty axes
+// are named errors, surfaced when the case is loaded rather than mid-run.
 func GridCells(figures []int, nodes []int, scale int, seed int64) ([]hdls.Config, error) {
 	if len(figures) == 0 {
 		return nil, fmt.Errorf("sweep.figures must list at least one figure")

@@ -40,8 +40,8 @@ type Instance struct {
 
 // Executor provides a fresh live hdlsd per case, so every case starts
 // from a cold store and unpolluted counters. The CLI runs a subprocess
-// daemon (StartDaemon); tests and the no-daemon fallback run an
-// in-process serve.Server behind httptest.
+// daemon (DaemonExecutor); tests run an in-process serve.Server behind
+// httptest (InProcessExecutor).
 type Executor interface {
 	Start(c *Case) (*Instance, error)
 }
@@ -328,8 +328,12 @@ func (r *Runner) runLoad(c *Case, inst *Instance) (map[string]float64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	if sum.Sweeps == 0 {
-		return nil, fmt.Errorf("loadgen: no sweeps completed (transport errors: %d)", sum.TransportErrors)
+	// loadgen counts a rejected sweep as an attempt but times only the
+	// completed ones, so a case whose sweeps were all rejected would
+	// otherwise pass on an empty latency sample.
+	if want := spec.Clients * spec.Sweeps; sum.Latency.Count < want {
+		return nil, fmt.Errorf("loadgen: %d of %d sweeps completed (HTTP statuses %v, transport errors %d)",
+			sum.Latency.Count, want, sum.Statuses, sum.TransportErrors)
 	}
 
 	after, err := r.scrape(inst.BaseURL)

@@ -117,50 +117,3 @@ func LoadRows(path string) ([]Row, error) {
 	}
 	return rows, nil
 }
-
-// RowFromBenchSnapshot converts a committed BENCH_*.json snapshot (the
-// hdlsweep/cachebench bench pathway this service replaces) into one trend
-// row, so a fresh history starts with the measurements already in the
-// repo instead of an empty baseline. The snapshot's whole-grid sweep maps
-// onto the sweep-target metric vocabulary: cells_per_second from the
-// serve_cache cold pass (the daemon-executed rate, matching what the
-// runner measures), warm_speedup from the same block.
-func RowFromBenchSnapshot(path, check string) (Row, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return Row{}, fmt.Errorf("trend: %w", err)
-	}
-	var snap struct {
-		Date       string  `json:"date"`
-		GoVersion  string  `json:"go_version"`
-		CalibScore float64 `json:"calib_score"`
-		ServeCache *struct {
-			Cold struct {
-				CellsPerSec float64 `json:"cells_per_second"`
-			} `json:"cold"`
-			WarmSpeedup float64 `json:"warm_speedup"`
-		} `json:"serve_cache"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		return Row{}, fmt.Errorf("trend: %s: %w", path, err)
-	}
-	if snap.ServeCache == nil {
-		return Row{}, fmt.Errorf("trend: %s: no serve_cache block to seed from", path)
-	}
-	when := snap.Date
-	if when == "" {
-		when = "1970-01-01"
-	}
-	return Row{
-		Time:      when + "T00:00:00Z",
-		Check:     check,
-		Status:    StatusPass,
-		GoVersion: snap.GoVersion,
-		CalibMops: snap.CalibScore,
-		Measured: map[string]float64{
-			MetricCellsPerSecond: snap.ServeCache.Cold.CellsPerSec,
-			MetricWarmSpeedup:    snap.ServeCache.WarmSpeedup,
-		},
-		Notes: []string{"seeded from " + filepath.Base(path)},
-	}, nil
-}

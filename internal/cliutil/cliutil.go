@@ -53,10 +53,9 @@ func StartProfiles(cpuPath, memPath string) (stop func(), err error) {
 
 // CalibScore measures the host's current single-core integer throughput
 // (millions of splitmix64 steps per second) with a fixed ~100 ms kernel.
-// Perf snapshots record it next to cells/second so the bench-trend check
-// can compare load-normalized throughput: absolute wall-clock numbers swing
-// with neighbour load and host class, but the ratio of two workloads
-// measured at the same moment does not.
+// The perf gates (checks.Calibrate) scale their throughput floors by it:
+// absolute wall-clock numbers swing with neighbour load and host class,
+// but the ratio of two workloads measured at the same moment does not.
 func CalibScore() float64 {
 	const iters = 40_000_000
 	var acc uint64

@@ -267,8 +267,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Store exposes the server's tiered result store (the fleet worker wiring
-// and tests read its per-tier counters).
+// Store exposes the server's tiered result store, so tests can read its
+// per-tier counters.
 func (s *Server) Store() *castore.Store { return s.store }
 
 // marshalSummary freezes a summary as compact JSON. Field order is fixed

@@ -136,7 +136,7 @@ func MandelbrotProfile(scale int) *Profile {
 	if scale < 1 {
 		scale = 1
 	}
-	return cached(fmt.Sprintf("mandelbrot/%d", scale), func() *Profile {
+	return cached(kernelKey{"mandelbrot", scale}, func() *Profile {
 		p := mandelbrot.Default(1024, 1024/scale)
 		return FromCounts(fmt.Sprintf("Mandelbrot-%dx%d", p.Width, p.Height),
 			p.EscapeCountsCached(), 143e-6, 0.05)
@@ -154,7 +154,7 @@ func PSIAProfile(scale int) *Profile {
 	if scale < 1 {
 		scale = 1
 	}
-	return cached(fmt.Sprintf("psia/%d", scale), func() *Profile {
+	return cached(kernelKey{"psia", scale}, func() *Profile {
 		n := (1 << 22) / scale
 		radius := math.Sqrt(674.0 / float64(n)) // targets ≈96 mean candidates
 		counts := spinimage.TorusCandidateCounts(n, 2.0, 0.8, 0.02, 20190322, radius)
@@ -162,9 +162,16 @@ func PSIAProfile(scale int) *Profile {
 	})
 }
 
-var profileCache sync.Map
+// kernelKey names one memoized paper-kernel profile. It is a comparable
+// struct, not a formatted string, so a memo hit allocates nothing.
+type kernelKey struct {
+	kernel string
+	scale  int
+}
 
-func cached(key string, build func() *Profile) *Profile {
+var profileCache sync.Map // kernelKey -> *Profile
+
+func cached(key kernelKey, build func() *Profile) *Profile {
 	if v, ok := profileCache.Load(key); ok {
 		return v.(*Profile)
 	}
