@@ -5,24 +5,28 @@ import (
 
 	"repro/dls"
 	"repro/internal/cluster"
+	"repro/internal/mpi"
 	"repro/internal/workload"
 )
 
-// TestEventCensus pins the engine events five bench-representative 8-node,
-// 16-worker MPI+MPI cells cost. Unlike wall clock, the count is a pure
-// function of the configuration, so a change to the event path shows here
-// as an exact difference.
+// TestEventCensus pins the engine events and the wake-chain upkeep five
+// bench-representative 8-node, 16-worker MPI+MPI cells cost. Unlike wall
+// clock, the counts are a pure function of the configuration, so a change
+// to the event path or the lock protocol shows here as an exact
+// difference.
 func TestEventCensus(t *testing.T) {
 	for _, tc := range []struct {
 		inter, intra dls.Technique
 		spec         string
 		pushes       uint64
+		// reconcilePort calls, walks, pollers walked, wakes armed
+		reconciles, walks, walked, armed int
 	}{
-		{dls.GSS, dls.GSS, "uniform:n=65536", 74933},
-		{dls.GSS, dls.STATIC, "uniform:n=4096", 20309},
-		{dls.STATIC, dls.SS, "uniform:n=16384", 82469},
-		{dls.GSS, dls.SS, "uniform:n=16384", 88456},
-		{dls.FAC2, dls.GSS, "uniform:n=16384", 60390},
+		{dls.GSS, dls.GSS, "uniform:n=65536", 74933, 21172, 6671, 11627, 6069},
+		{dls.GSS, dls.STATIC, "uniform:n=4096", 20309, 5853, 2891, 6323, 2658},
+		{dls.STATIC, dls.SS, "uniform:n=16384", 82469, 27597, 13035, 20054, 11085},
+		{dls.GSS, dls.SS, "uniform:n=16384", 88456, 29084, 14410, 23787, 12572},
+		{dls.FAC2, dls.GSS, "uniform:n=16384", 60390, 17919, 8390, 24543, 7679},
 	} {
 		prof, err := workload.ParseSpec(tc.spec, 1)
 		if err != nil {
@@ -40,8 +44,15 @@ func TestEventCensus(t *testing.T) {
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if got := lastRunPushes.Load(); got != tc.pushes {
-			t.Errorf("%s/%s %s: %d engine events, want %d", tc.inter, tc.intra, tc.spec, got, tc.pushes)
+		lastRun.Lock()
+		pushes, wakes := lastRun.pushes, lastRun.wakes
+		lastRun.Unlock()
+		if pushes != tc.pushes {
+			t.Errorf("%s/%s %s: %d engine events, want %d", tc.inter, tc.intra, tc.spec, pushes, tc.pushes)
+		}
+		want := mpi.WakeCensus{Reconciles: tc.reconciles, Walks: tc.walks, PollersWalked: tc.walked, WakesArmed: tc.armed}
+		if wakes != want {
+			t.Errorf("%s/%s %s: wake census %+v, want %+v", tc.inter, tc.intra, tc.spec, wakes, want)
 		}
 	}
 }

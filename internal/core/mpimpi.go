@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"strconv"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/sim"
@@ -73,11 +73,16 @@ func (f *chunkFetch) stepped(step int64) {
 // second global atomic.
 func (f *chunkFetch) calculated() { f.fop(0, gwScheduled, int64(f.size), f.got) }
 
-// lastRunPushes records the main engine's queue-insertion count of the most
-// recent MPI+MPI run, for TestEventCensus: wall-clock comparisons drown in
-// host noise, but the number of engine events a cell costs is deterministic
-// per configuration.
-var lastRunPushes atomic.Uint64
+// lastRun records the main engine's queue-insertion count and the RMA
+// ports' wake-chain census of the most recent MPI+MPI run, for
+// TestEventCensus: wall-clock comparisons drown in host noise, but the
+// engine events and protocol upkeep a cell costs are deterministic per
+// configuration.
+var lastRun struct {
+	sync.Mutex
+	pushes uint64
+	wakes  mpi.WakeCensus
+}
 
 // runMPIMPI executes the proposed hierarchical MPI+MPI approach: one MPI
 // rank per core, a shared local work queue per node, distributed chunk
@@ -105,7 +110,9 @@ func (h *harness) runMPIMPI() error {
 	h.finished = 0
 
 	runErr := world.Launch(h.startMPIMPIFn)
-	lastRunPushes.Store(uint64(world.Engine().PushStamp()))
+	lastRun.Lock()
+	lastRun.pushes, lastRun.wakes = uint64(world.Engine().PushStamp()), world.Census()
+	lastRun.Unlock()
 	if runErr != nil {
 		return runErr
 	}

@@ -52,7 +52,21 @@ type World struct {
 	// wakeFree pools wake-chain records (rma.go) so re-arming allocates
 	// nothing in steady state.
 	wakeFree *wakeRec
+
+	census WakeCensus
 }
+
+// WakeCensus counts one cell's wake-chain upkeep (rma.go): reconcilePort
+// calls, the registration-order walks among them, the pollers those walks
+// visited, and the wake events armed. The counts are a pure function of
+// the configuration, so a change to the protocol path shows as an exact
+// difference; they never reach a cell's summary.
+type WakeCensus struct {
+	Reconciles, Walks, PollersWalked, WakesArmed int
+}
+
+// Census returns the wake-chain counts since the last Reset.
+func (w *World) Census() WakeCensus { return w.census }
 
 // NewWorld creates up to ranksPerNode ranks on each node of cfg: node n
 // hosts min(ranksPerNode, cfg.Cores(n)) ranks — one rank per core, as in
@@ -86,6 +100,7 @@ func (w *World) Reset(eng *sim.Engine, cfg *cluster.Config, ranksPerNode int) er
 	}
 	w.eng = eng
 	w.cfg = cfg
+	w.census = WakeCensus{}
 	w.nodeRanks = resizeZeroed(w.nodeRanks, cfg.Nodes)
 	w.nodeOff = resizeZeroed(w.nodeOff, cfg.Nodes)
 	w.memPort = resizeSlice(w.memPort, cfg.Nodes)

@@ -338,11 +338,16 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 // advance and reconcile again.
 func (w *World) reconcilePort(node int) {
 	pt := w.memPort[node]
+	w.census.Reconciles++
 	// Fast path: when every parked poller contends for the same lock and
 	// that lock is exclusively held, no poller can acquire it — the walk
 	// below would arm nothing. One lock-word load replaces the scan.
 	if pt.hom && len(pt.byReg) > 0 && pt.byReg[0].win.locks[pt.byReg[0].target].excl {
 		return
+	}
+	if len(pt.byReg) > 0 {
+		w.census.Walks++
+		w.census.PollersWalked += len(pt.byReg)
 	}
 	// Walk in registration order — the literal scan order — improving each
 	// lock's covering mark, then arm one wake per improved lock at its final
@@ -403,6 +408,7 @@ type wakeRec struct {
 // after every same-instant event that preceded the literal decision and
 // before every one that followed it.
 func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) {
+	w.census.WakesArmed++
 	wr := w.wakeFree
 	if wr == nil {
 		wr = &wakeRec{w: w}
