@@ -13,7 +13,9 @@ import (
 // bench-representative 8-node, 16-worker MPI+MPI cells cost. Unlike wall
 // clock, the counts are a pure function of the configuration, so a change
 // to the event path or the lock protocol shows here as an exact
-// difference.
+// difference. Every port in these cells has one lock, so reconcilePort
+// arms from the queue heads and never walks: walks and pollers walked read
+// 0, where the walk visited 6,323–24,543 pollers per cell.
 func TestEventCensus(t *testing.T) {
 	for _, tc := range []struct {
 		inter, intra dls.Technique
@@ -22,11 +24,11 @@ func TestEventCensus(t *testing.T) {
 		// reconcilePort calls, walks, pollers walked, wakes armed
 		reconciles, walks, walked, armed int
 	}{
-		{dls.GSS, dls.GSS, "uniform:n=65536", 74933, 21172, 6671, 11627, 6069},
-		{dls.GSS, dls.STATIC, "uniform:n=4096", 20309, 5853, 2891, 6323, 2658},
-		{dls.STATIC, dls.SS, "uniform:n=16384", 82469, 27597, 13035, 20054, 11085},
-		{dls.GSS, dls.SS, "uniform:n=16384", 88456, 29084, 14410, 23787, 12572},
-		{dls.FAC2, dls.GSS, "uniform:n=16384", 60390, 17919, 8390, 24543, 7679},
+		{dls.GSS, dls.GSS, "uniform:n=65536", 74933, 21172, 0, 0, 6069},
+		{dls.GSS, dls.STATIC, "uniform:n=4096", 20309, 5853, 0, 0, 2658},
+		{dls.STATIC, dls.SS, "uniform:n=16384", 82469, 27597, 0, 0, 11085},
+		{dls.GSS, dls.SS, "uniform:n=16384", 88456, 29084, 0, 0, 12572},
+		{dls.FAC2, dls.GSS, "uniform:n=16384", 60390, 17919, 0, 0, 7679},
 	} {
 		prof, err := workload.ParseSpec(tc.spec, 1)
 		if err != nil {

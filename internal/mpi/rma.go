@@ -48,6 +48,17 @@ type lockState struct {
 	wakeSet  bool
 }
 
+// covers reports whether the lock's wake mark is armed at or before the
+// poll decision at (at, born), which then needs no wake of its own.
+func (ls *lockState) covers(at, born sim.Time) bool {
+	return ls.wakeSet && (ls.wakeAt < at || (ls.wakeAt == at && ls.wakeBorn <= born))
+}
+
+// mark moves the lock's wake mark to the poll decision at (at, born).
+func (ls *lockState) mark(at, born sim.Time) {
+	ls.wakeAt, ls.wakeBorn, ls.wakeSet = at, born, true
+}
+
 // rmaPort is one node's window port: the serial RMA service station plus the
 // virtual lock-poller list that coalesces the lock-polling protocol's retry
 // storm.
@@ -80,15 +91,17 @@ type rmaPort struct {
 	// append, and the rest insert in key order, which keeps the selection
 	// order the single sorted order of all pending steps by construction.
 	checks, arrivals stepQueue
-	// byReg holds the same pollers in registration order: reconcilePort must
-	// walk them exactly as the literal slice scan did, because the order in
-	// which wake-chain positions are armed is part of the frozen event
-	// sequence.
+	// byReg holds the same pollers in registration order: where
+	// reconcilePort walks them (a port with several locks, or a shared-held
+	// one) it must do so exactly as the literal slice scan did, because the
+	// order in which wake-chain positions are armed is part of the frozen
+	// event sequence.
 	byReg []*poller
 	// hom is true while every registered poller targets one (win, target)
 	// pair — the common shape (a node's ranks all contend for the one local
-	// queue lock) — letting reconcilePort skip the whole walk with a single
-	// lock-word check when that lock is exclusively held.
+	// queue lock). reconcilePort then reads the one lock word instead of
+	// walking: an exclusively held lock arms nothing, and a free one arms
+	// at most one wake at the earliest pending step.
 	hom bool
 	// reg is the monotone registration counter behind the tie-break
 	// (32-bit with a wrap guard).
@@ -339,16 +352,33 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 func (w *World) reconcilePort(node int) {
 	pt := w.memPort[node]
 	w.census.Reconciles++
-	// Fast path: when every parked poller contends for the same lock and
-	// that lock is exclusively held, no poller can acquire it — the walk
-	// below would arm nothing. One lock-word load replaces the scan.
-	if pt.hom && len(pt.byReg) > 0 && pt.byReg[0].win.locks[pt.byReg[0].target].excl {
+	if len(pt.byReg) == 0 {
 		return
 	}
-	if len(pt.byReg) > 0 {
-		w.census.Walks++
-		w.census.PollersWalked += len(pt.byReg)
+	// Every parked poller waits on one lock (hom). Held exclusively, it can
+	// be acquired by none of them, and nothing is armed. Free, it can be
+	// acquired by all of them, so the walk below would end with the lock's
+	// mark at the earliest pending step. Each registered poller has exactly
+	// one pending step, in checks or in arrivals, keyed by its own
+	// (at, born), so that step is the smaller of the two queue heads:
+	// compared with the current mark as the walk compares, it arms the same
+	// wake at the same key, or none. Only a shared-held lock needs the walk.
+	if pt.hom {
+		pl := pt.byReg[0]
+		ls := &pl.win.locks[pl.target]
+		if ls.excl {
+			return
+		}
+		if ls.readers == 0 {
+			if k, _ := pt.next(); !ls.covers(k.at, k.born) {
+				ls.mark(k.at, k.born)
+				w.scheduleWake(node, pl.win, pl.target, k.at, k.born)
+			}
+			return
+		}
 	}
+	w.census.Walks++
+	w.census.PollersWalked += len(pt.byReg)
 	// Walk in registration order — the literal scan order — improving each
 	// lock's covering mark, then arm one wake per improved lock at its final
 	// mark, where a grant can actually resolve. The intermediate, superseded
@@ -359,15 +389,10 @@ func (w *World) reconcilePort(node int) {
 	// rule is therefore part of the frozen event sequence (DESIGN.md §3).
 	for _, pl := range pt.byReg {
 		ls := &pl.win.locks[pl.target]
-		if !pl.canSucceed(ls) {
+		if !pl.canSucceed(ls) || ls.covers(pl.at, pl.born) {
 			continue
 		}
-		if ls.wakeSet && (ls.wakeAt < pl.at || (ls.wakeAt == pl.at && ls.wakeBorn <= pl.born)) {
-			continue
-		}
-		ls.wakeAt = pl.at
-		ls.wakeBorn = pl.born
-		ls.wakeSet = true
+		ls.mark(pl.at, pl.born)
 		found := false
 		for i := range pt.armW {
 			if pt.armW[i] == pl.win && pt.armT[i] == pl.target {
