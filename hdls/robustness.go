@@ -288,31 +288,62 @@ func scenarioName(o RobustnessOptions) string {
 	return strings.Join(parts, " + ")
 }
 
+// spread reports whether the rows fold several seed replicas, and so
+// carry the parallel-time spread.
+func (rr *RobustnessResult) spread() bool {
+	for _, r := range rr.Rows {
+		if r.Repeats > 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // Table renders the sweep as a text table ranking techniques under the
-// scenario.
+// scenario. Rows folded from several seed replicas add the parallel-time
+// spread: the fastest and slowest replica and the standard deviation.
 func (rr *RobustnessResult) Table() string {
+	spread := rr.spread()
 	var b strings.Builder
 	fmt.Fprintf(&b, "Robustness sweep — %s, workload %s, %d nodes × %d workers, %s (intra %s)\n",
 		rr.Scenario, rr.Workload, rr.Nodes, rr.Workers, rr.Approach, rr.Intra)
-	fmt.Fprintf(&b, "%-8s %14s %16s %14s %8s %8s\n",
+	fmt.Fprintf(&b, "%-8s %14s %16s %14s %8s %8s",
 		"inter", "parallel s", "node-finish CoV", "imbalance", "gchunks", "lchunks")
+	if spread {
+		fmt.Fprintf(&b, " %7s %14s %14s %14s", "seeds", "min s", "max s", "stddev s")
+	}
+	b.WriteByte('\n')
 	for _, r := range rr.Rows {
-		fmt.Fprintf(&b, "%-8s %14.6f %16.4f %14.4f %8d %8d\n",
+		fmt.Fprintf(&b, "%-8s %14.6f %16.4f %14.4f %8d %8d",
 			r.Technique, r.ParallelTime, r.NodeFinishCoV, r.LoadImbalance,
 			r.GlobalChunks, r.LocalChunks)
+		if spread {
+			fmt.Fprintf(&b, " %7d %14.6f %14.6f %14.6f", r.Repeats, r.MinTime, r.MaxTime, r.TimeStdDev)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-// CSV renders the sweep as CSV rows.
+// CSV renders the sweep as CSV rows, with the Table's spread columns when
+// the rows carry them.
 func (rr *RobustnessResult) CSV() string {
+	spread := rr.spread()
 	var b strings.Builder
-	b.WriteString("scenario,workload,nodes,workers,approach,intra,inter,parallel_s,node_finish_cov,imbalance,global_chunks,local_chunks\n")
+	b.WriteString("scenario,workload,nodes,workers,approach,intra,inter,parallel_s,node_finish_cov,imbalance,global_chunks,local_chunks")
+	if spread {
+		b.WriteString(",repeats,min_s,max_s,stddev_s")
+	}
+	b.WriteByte('\n')
 	for _, r := range rr.Rows {
-		fmt.Fprintf(&b, "%q,%q,%d,%d,%s,%s,%s,%.6f,%.4f,%.4f,%d,%d\n",
+		fmt.Fprintf(&b, "%q,%q,%d,%d,%s,%s,%s,%.6f,%.4f,%.4f,%d,%d",
 			rr.Scenario, rr.Workload, rr.Nodes, rr.Workers, rr.Approach, rr.Intra,
 			r.Technique, r.ParallelTime, r.NodeFinishCoV, r.LoadImbalance,
 			r.GlobalChunks, r.LocalChunks)
+		if spread {
+			fmt.Fprintf(&b, ",%d,%.6f,%.6f,%.6f", r.Repeats, r.MinTime, r.MaxTime, r.TimeStdDev)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -34,6 +34,7 @@ import (
 
 	"repro/hdls"
 	"repro/internal/cliutil"
+	"repro/internal/workload"
 )
 
 // Case targets.
@@ -328,6 +329,9 @@ func loadCase(casesDir, className, caseName string) (*Case, error) {
 		if l.Clients <= 0 || l.Sweeps <= 0 || l.Cells <= 0 {
 			return fail(fmt.Errorf("load needs positive clients/sweeps/cells, got %d/%d/%d",
 				l.Clients, l.Sweeps, l.Cells))
+		}
+		if _, err := workload.ParseSpec(l.workload(), l.seed()); err != nil {
+			return fail(fmt.Errorf("load.workload: %w", err))
 		}
 	case "":
 		return fail(fmt.Errorf("missing target (sweep, serve or soak)"))

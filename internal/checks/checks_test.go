@@ -109,6 +109,15 @@ func TestLoadValidation(t *testing.T) {
 			want: `target serve does not take a "sweep" block`,
 		},
 		{
+			name:    "typoed load workload",
+			machine: okMachine,
+			cases: map[string]string{"c": `{
+				"target": "serve",
+				"load": {"clients": 1, "sweeps": 1, "cells": 1, "workload": "constnat:n=256"},
+				"goals": {"error_lines_max": 0}}`},
+			want: `case test/c: load.workload: `,
+		},
+		{
 			name:    "unknown figure",
 			machine: okMachine,
 			cases: map[string]string{"c": `{
@@ -407,9 +416,10 @@ func TestRunCaseEndToEnd(t *testing.T) {
 	})
 
 	t.Run("rejected sweeps fail the case", func(t *testing.T) {
-		// A typoed workload loads (the loader does not parse specs), and the
-		// daemon rejects every sweep with 400. Its goals would all pass on
-		// the empty latency sample.
+		// A typoed workload no longer loads (TestLoadValidation), so the
+		// spec is changed after loading: the daemon rejects every sweep
+		// with 400, and the goals would all pass on the empty latency
+		// sample.
 		typoed := *class.Cases[1] // the serve case
 		load := *typoed.Spec.Load
 		load.Workload = "constnat:n=256"
