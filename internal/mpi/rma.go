@@ -362,7 +362,8 @@ func (w *World) reconcilePort(node int) {
 	// one pending step, in checks or in arrivals, keyed by its own
 	// (at, born), so that step is the smaller of the two queue heads:
 	// compared with the current mark as the walk compares, it arms the same
-	// wake at the same key, or none. Only a shared-held lock needs the walk.
+	// wake at the same key, or none. On such a port only a shared-held lock
+	// needs the walk.
 	if pt.hom {
 		pl := pt.byReg[0]
 		ls := &pl.win.locks[pl.target]
