@@ -416,7 +416,7 @@ func TestRunCaseEndToEnd(t *testing.T) {
 	})
 
 	t.Run("rejected sweeps fail the case", func(t *testing.T) {
-		// A typoed workload no longer loads (TestLoadValidation), so the
+		// The loader rejects a typoed workload (TestLoadValidation), so the
 		// spec is changed after loading: the daemon rejects every sweep
 		// with 400, and the goals would all pass on the empty latency
 		// sample.
