@@ -239,10 +239,10 @@ func (wk *mpimpiWorker) run() {
 	wk.a, wk.b, wk.size, wk.start, wk.schedKnd = 0, 0, 0, 0, 0
 
 	wk.fop = wk.gw.NewFetchAndOpCont(r)
-	wk.unlockExec = wk.lw.NewUnlockCont(r, 0, mpi.LockExclusive, wk.execContFn)
-	wk.unlockExit = wk.lw.NewUnlockCont(r, 0, mpi.LockExclusive, wk.exitContFn)
-	wk.unlockDone = wk.lw.NewUnlockCont(r, 0, mpi.LockExclusive, wk.doneExitFn)
-	wk.lock = wk.lw.NewLockCont(r, 0, mpi.LockExclusive, wk.grantedFn)
+	wk.unlockExec = wk.lw.NewUnlockCont(r, 0, wk.execContFn)
+	wk.unlockExit = wk.lw.NewUnlockCont(r, 0, wk.exitContFn)
+	wk.unlockDone = wk.lw.NewUnlockCont(r, 0, wk.doneExitFn)
+	wk.lock = wk.lw.NewLockCont(r, 0, wk.grantedFn)
 
 	wk.schedT0 = r.Now()
 	wk.lock()

@@ -55,7 +55,7 @@ func TestWorldResetMatchesFresh(t *testing.T) {
 			w.Comm().WinAllocateCont(r, "w", 2, func(g *Win) {
 				gw = g
 				w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(lw *Win) {
-					l := newLocker(lw, r, LockExclusive)
+					l := newLocker(lw, r)
 					fop := g.NewFetchAndOpCont(r)
 					w.Comm().BarrierCont(r, func() {
 						l.Lock(func() {

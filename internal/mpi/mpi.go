@@ -3,7 +3,10 @@
 // — barriers, window creation, passive-target RMA with the lock-polling
 // protocol, MPI_Fetch_and_op, and MPI-3 shared-memory windows
 // (MPI_Win_allocate_shared / MPI_Comm_split_type(SHARED)) — with explicit
-// cost models taken from the cluster description.
+// cost models taken from the cluster description. Locks are exclusive and
+// each node's window port serves one, which is how the paper's executor
+// guards a node's local work queue; shared locks and several locks behind
+// one port are not modelled.
 //
 // Ranks are continuation machines (World.Launch): every MPI call takes the
 // continuation to run where a blocking caller would have resumed, and runs
@@ -22,8 +25,8 @@ import (
 
 // World is a set of ranks placed on a simulated cluster. Ranks are numbered
 // contiguously by node: node n hosts ranks [nodeOff[n], nodeOff[n]+nodeRanks[n]).
-// On a homogeneous machine that reduces to the classic rank r → node
-// r/ranksPerNode placement.
+// When every node hosts ranksPerNode ranks that reduces to the classic
+// rank r → node r/ranksPerNode placement.
 type World struct {
 	eng       *sim.Engine
 	cfg       *cluster.Config
@@ -34,10 +37,11 @@ type World struct {
 	// memPort serializes RMA operations (including lock attempts) targeting
 	// windows hosted on a node. This is the resource whose saturation
 	// produces the paper's lock-polling pathology. Each port also carries
-	// the virtual lock-poller machinery (see rma.go): contended lock
-	// callers register a poller instead of generating one host event per
-	// retry, and their poll attempts are replayed arithmetically, in arrival
-	// order, whenever the port or the lock state is touched.
+	// the one lock it serves and the virtual lock-poller machinery (see
+	// rma.go): contended lock callers register a poller instead of
+	// generating one host event per retry, and their poll attempts are
+	// replayed arithmetically, in arrival order, whenever the port or the
+	// lock state is touched.
 	memPort []*rmaPort
 
 	world     *Comm
@@ -57,12 +61,11 @@ type World struct {
 }
 
 // WakeCensus counts one cell's wake-chain upkeep (rma.go): reconcilePort
-// calls, the registration-order walks among them, the pollers those walks
-// visited, and the wake events armed. The counts are a pure function of
+// calls and the wake events they armed. The counts are a pure function of
 // the configuration, so a change to the protocol path shows as an exact
 // difference; they never reach a cell's summary.
 type WakeCensus struct {
-	Reconciles, Walks, PollersWalked, WakesArmed int
+	Reconciles, WakesArmed int
 }
 
 // Census returns the wake-chain counts since the last Reset.

@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -34,7 +36,7 @@ func TestWinAccountingCounters(t *testing.T) {
 	err := w.Launch(func(r *Rank) {
 		w.SplitTypeShared(r).WinAllocateSharedCont(r, "acc", 1, func(wn *Win) {
 			win = wn
-			l := newLocker(wn, r, LockExclusive)
+			l := newLocker(wn, r)
 			fop := wn.NewFetchAndOpCont(r)
 			repeat(3, func(_ int, next func()) {
 				l.Lock(func() {
@@ -73,12 +75,45 @@ func TestUnlockWithoutLockPanics(t *testing.T) {
 		}()
 		_ = w.Launch(func(r *Rank) {
 			w.SplitTypeShared(r).WinAllocateSharedCont(r, "x", 1, func(win *Win) {
-				newLocker(win, r, LockExclusive).Unlock(func() {})
+				newLocker(win, r).Unlock(func() {})
 			})
 		})
 	}()
 	if !panicked {
 		t.Fatal("Unlock without Lock did not panic")
+	}
+}
+
+// TestSecondLockOnPortPanics checks that a port serves one lock: when two
+// ranks of one node contend for the locks of two windows hosted there, the
+// second lock's issuer panics, naming both locks.
+func TestSecondLockOnPortPanics(t *testing.T) {
+	_, w := newTestWorld(t, 1, 2)
+	var msg string
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				msg = fmt.Sprint(p)
+			}
+		}()
+		_ = w.Launch(func(r *Rank) {
+			nc := w.SplitTypeShared(r)
+			nc.WinAllocateSharedCont(r, "a", 1, func(a *Win) {
+				nc.WinAllocateSharedCont(r, "b", 1, func(b *Win) {
+					win := a
+					if r.Rank() == 1 {
+						win = b
+					}
+					l := newLocker(win, r)
+					repeat(10, func(_ int, next func()) {
+						l.Lock(func() { after(r, 2*sim.Microsecond, func() { l.Unlock(next) }) })
+					}, nil)
+				})
+			})
+		})
+	}()
+	if !strings.Contains(msg, "a[0]") || !strings.Contains(msg, "b[0]") {
+		t.Fatalf("two locks on one port: panic %q, want one naming a[0] and b[0]", msg)
 	}
 }
 
@@ -130,7 +165,7 @@ func TestLockFairnessIsNotStarvation(t *testing.T) {
 	err := w.Launch(func(r *Rank) {
 		nc := w.SplitTypeShared(r)
 		nc.WinAllocateSharedCont(r, "fair", 1, func(win *Win) {
-			l := newLocker(win, r, LockExclusive)
+			l := newLocker(win, r)
 			repeat(50, func(_ int, next func()) {
 				l.Lock(func() {
 					after(r, 2*sim.Microsecond, func() {

@@ -52,10 +52,10 @@ type locker struct {
 	granted, freed func()
 }
 
-func newLocker(win *Win, r *Rank, lockType int) *locker {
+func newLocker(win *Win, r *Rank) *locker {
 	l := &locker{eng: r.World().Engine()}
-	l.lock = win.NewLockCont(r, 0, lockType, func() { l.granted() })
-	l.unlock = win.NewUnlockCont(r, 0, lockType, func(sim.Time) { l.freed() })
+	l.lock = win.NewLockCont(r, 0, func() { l.granted() })
+	l.unlock = win.NewUnlockCont(r, 0, func(sim.Time) { l.freed() })
 	return l
 }
 
@@ -225,7 +225,7 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 	inside, peak, done := 0, 0, 0
 	err := w.Launch(func(r *Rank) {
 		w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 2, func(win *Win) {
-			l := newLocker(win, r, LockExclusive)
+			l := newLocker(win, r)
 			repeat(5, func(_ int, next func()) {
 				l.Lock(func() {
 					inside++
@@ -248,50 +248,6 @@ func TestExclusiveLockMutualExclusion(t *testing.T) {
 	}
 }
 
-func TestSharedLockAllowsReadersExcludesWriter(t *testing.T) {
-	eng, w := newTestWorld(t, 1, 4)
-	readersPeak := 0
-	readers := 0
-	var writerAt, lastReaderRelease sim.Time
-	err := w.Launch(func(r *Rank) {
-		w.SplitTypeShared(r).WinAllocateSharedCont(r, "rw", 1, func(win *Win) {
-			if r.Rank() < 3 {
-				l := newLocker(win, r, LockShared)
-				l.Lock(func() {
-					readers++
-					if readers > readersPeak {
-						readersPeak = readers
-					}
-					after(r, 100*sim.Microsecond, func() {
-						readers--
-						if eng.Now() > lastReaderRelease {
-							lastReaderRelease = eng.Now()
-						}
-						l.Unlock(func() {})
-					})
-				})
-				return
-			}
-			l := newLocker(win, r, LockExclusive)
-			after(r, 10*sim.Microsecond, func() { // let readers in first
-				l.Lock(func() {
-					writerAt = eng.Now()
-					l.Unlock(func() {})
-				})
-			})
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if readersPeak < 2 {
-		t.Fatalf("readers did not overlap: peak = %d", readersPeak)
-	}
-	if writerAt < lastReaderRelease {
-		t.Fatalf("writer entered at %v before readers released at %v", writerAt, lastReaderRelease)
-	}
-}
-
 func TestLockAttemptsGrowUnderContention(t *testing.T) {
 	attemptsFor := func(perNode int) float64 {
 		_, w := newTestWorld(t, 1, perNode)
@@ -299,7 +255,7 @@ func TestLockAttemptsGrowUnderContention(t *testing.T) {
 		if err := w.Launch(func(r *Rank) {
 			w.SplitTypeShared(r).WinAllocateSharedCont(r, "q", 1, func(wn *Win) {
 				win = wn
-				l := newLocker(wn, r, LockExclusive)
+				l := newLocker(wn, r)
 				repeat(20, func(_ int, next func()) {
 					l.Lock(func() { after(r, 2*sim.Microsecond, func() { l.Unlock(next) }) })
 				}, nil)

@@ -16,7 +16,9 @@ import (
 // an RMA round serviced serially by the target node's window port, and
 // failed attempts back off for the cluster's PollInterval. Under contention
 // the attempt storm both delays the holder's own operations and stretches
-// grant hand-off — the mechanism behind the paper's SS results.
+// grant hand-off — the mechanism behind the paper's SS results. Locks are
+// exclusive (MPI_LOCK_EXCLUSIVE), one per node's port, as the paper's
+// executor takes them: see rmaPort.
 type Win struct {
 	world  *World
 	comm   *Comm
@@ -25,9 +27,8 @@ type Win struct {
 	// mem is the single backing array behind every rank's segment; data[i]
 	// is the i-th rank's count-word subslice of it. One allocation per
 	// window, and World.Reset can recycle the arrays across pooled cells.
-	mem   []int64
-	data  [][]int64
-	locks []lockState
+	mem  []int64
+	data [][]int64
 
 	// Accounting for overhead analysis.
 	LockAttempts     int64
@@ -35,33 +36,9 @@ type Win struct {
 	AtomicOps        int64
 }
 
-type lockState struct {
-	excl    bool
-	readers int
-
-	// Wake-chain bookkeeping for coalesced polling: when the lock is in a
-	// state some parked poller could acquire, (wakeAt, wakeBorn) is the
-	// earliest pending poll decision and an engine event is scheduled at
-	// that position. See rmaPort.
-	wakeAt   sim.Time
-	wakeBorn sim.Time
-	wakeSet  bool
-}
-
-// covers reports whether the lock's wake mark is armed at or before the
-// poll decision at (at, born), which then needs no wake of its own.
-func (ls *lockState) covers(at, born sim.Time) bool {
-	return ls.wakeSet && (ls.wakeAt < at || (ls.wakeAt == at && ls.wakeBorn <= born))
-}
-
-// mark moves the lock's wake mark to the poll decision at (at, born).
-func (ls *lockState) mark(at, born sim.Time) {
-	ls.wakeAt, ls.wakeBorn, ls.wakeSet = at, born, true
-}
-
-// rmaPort is one node's window port: the serial RMA service station plus the
-// virtual lock-poller list that coalesces the lock-polling protocol's retry
-// storm.
+// rmaPort is one node's window port: the serial RMA service station, the
+// one exclusive lock it serves, and the virtual lock pollers that coalesce
+// the lock-polling protocol's retry storm.
 //
 // In the literal protocol a contended MPI_Win_lock retries every
 // PollInterval, and every retry is a full RMA round through this port — an
@@ -77,6 +54,12 @@ func (ls *lockState) mark(at, born sim.Time) {
 // except where a poll step ties another event's (time, scheduling-time)
 // key exactly; only the host-event count changes. DESIGN.md §3 gives the
 // equivalence argument and the tie rule.
+//
+// The paper's executor guards each node's local work queue with one
+// exclusive lock, so a port serves exactly one lock (win, target): the
+// first lock or unlock issuer built for the port this cell names it, and
+// an issuer for a second lock on the same port panics (lockSite). Every
+// parked poller therefore waits on the port's own lock word.
 type rmaPort struct {
 	srv sim.Server
 	// Pending poll steps wait in two queues, each sorted by the key
@@ -91,25 +74,23 @@ type rmaPort struct {
 	// append, and the rest insert in key order, which keeps the selection
 	// order the single sorted order of all pending steps by construction.
 	checks, arrivals stepQueue
-	// byReg holds the same pollers in registration order: where
-	// reconcilePort walks them (a port with several locks, or a shared-held
-	// one) it must do so exactly as the literal slice scan did, because the
-	// order in which wake-chain positions are armed is part of the frozen
-	// event sequence.
-	byReg []*poller
-	// hom is true while every registered poller targets one (win, target)
-	// pair — the common shape (a node's ranks all contend for the one local
-	// queue lock). reconcilePort then reads the one lock word instead of
-	// walking: an exclusively held lock arms nothing, and a free one arms
-	// at most one wake at the earliest pending step.
-	hom bool
+	// parked counts the registered pollers; each has exactly one pending
+	// step, in checks or in arrivals.
+	parked int
 	// reg is the monotone registration counter behind the tie-break
 	// (32-bit with a wrap guard).
 	reg uint32
-	// armW/armT are reconcilePort's arm-once scratch: the locks whose
-	// covering mark improved during the current walk, deduplicated.
-	armW []*Win
-	armT []int
+
+	// win and target name the port's lock (nil until an issuer names it),
+	// and held is its lock word.
+	win    *Win
+	target int
+	held   bool
+	// Wake-chain mark for coalesced polling: while the lock is free and a
+	// poller is parked, (wakeAt, wakeBorn) is the earliest pending poll
+	// decision and an engine event is scheduled at that position.
+	wakeAt, wakeBorn sim.Time
+	wakeSet          bool
 }
 
 // pollerKey is one pending poll step: its position and the poller that
@@ -189,25 +170,16 @@ func (s *stepQueue) push(k pollerKey) {
 // reset empties the queue, keeping its capacity.
 func (s *stepQueue) reset() { s.q, s.head = s.q[:0], 0 }
 
-// reset clears a pooled port for reuse, keeping slice capacity.
+// reset clears a pooled port for reuse, lock included, keeping the queues'
+// capacity.
 func (pt *rmaPort) reset() {
-	pt.srv = sim.Server{}
 	pt.checks.reset()
 	pt.arrivals.reset()
-	for i := range pt.byReg {
-		pt.byReg[i] = nil
-	}
-	pt.byReg = pt.byReg[:0]
-	pt.reg = 0
-	for i := range pt.armW {
-		pt.armW[i] = nil
-	}
-	pt.armW = pt.armW[:0]
-	pt.armT = pt.armT[:0]
+	*pt = rmaPort{checks: pt.checks, arrivals: pt.arrivals}
 }
 
 // pending reports whether any poll step is registered.
-func (pt *rmaPort) pending() bool { return len(pt.byReg) > 0 }
+func (pt *rmaPort) pending() bool { return pt.parked > 0 }
 
 // next returns the earliest pending step and whether it is an in-service
 // attempt's check (rather than a backed-off poller's arrival), or nil when
@@ -227,24 +199,8 @@ func (pt *rmaPort) pushPoller(pl *poller) {
 		panic("mpi: poller registration counter overflow")
 	}
 	pl.reg = pt.reg
-	if len(pt.byReg) == 0 {
-		pt.hom = true
-	} else if pt.hom && (pl.win != pt.byReg[0].win || pl.target != pt.byReg[0].target) {
-		pt.hom = false
-	}
-	pt.byReg = append(pt.byReg, pl)
+	pt.parked++
 	pt.arrivals.push(pollerKey{at: pl.at, born: pl.born, pl: pl})
-}
-
-// unregister drops a granted poller, already popped from its queue, from
-// the registration order.
-func (pt *rmaPort) unregister(pl *poller) {
-	for i, q := range pt.byReg {
-		if q == pl {
-			pt.byReg = append(pt.byReg[:i], pt.byReg[i+1:]...)
-			return
-		}
-	}
 }
 
 // poller is one waiting lock caller (see NewLockCont) whose retries are
@@ -253,9 +209,6 @@ func (pt *rmaPort) unregister(pl *poller) {
 // time) and the in-flight attempt *completing and checking* the lock word
 // (queued in rmaPort.checks, at = check time).
 type poller struct {
-	win      *Win
-	target   int
-	lockType int
 	// cont runs at the grant position, in an event with exactly the
 	// (time, scheduling-time) key the literal winner's check would have had.
 	cont func()
@@ -268,15 +221,6 @@ type poller struct {
 	// real same-instant arrival.
 	born sim.Time
 	reg  uint32 // registration tie-break, assigned by pushPoller
-}
-
-// canSucceed reports whether the poller's next check would acquire the lock
-// in state ls.
-func (pl *poller) canSucceed(ls *lockState) bool {
-	if pl.lockType == LockExclusive {
-		return !ls.excl && ls.readers == 0
-	}
-	return !ls.excl
 }
 
 // advancePort replays pending virtual poll steps on node's port in
@@ -307,7 +251,7 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 			// the literal attempt would, then wait for the check moment.
 			pt.arrivals.pop()
 			done := pt.srv.ServeAsync(best.at, mem.LockAttempt)
-			best.win.LockAttempts++
+			pt.win.LockAttempts++
 			// Mirror the literal service wake-up bit for bit: the attempt
 			// would have waited (done − at) from at, so its check is at
 			// at + (done − at), which floating point does not guarantee to
@@ -319,15 +263,10 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 		}
 		// The attempt completes: check the lock word at its own timestamp.
 		pt.checks.pop()
-		ls := &best.win.locks[best.target]
-		if best.canSucceed(ls) {
-			if best.lockType == LockExclusive {
-				ls.excl = true
-			} else {
-				ls.readers++
-			}
-			best.win.LockAcquisitions++
-			pt.unregister(best)
+		if !pt.held {
+			pt.held = true
+			pt.win.LockAcquisitions++
+			pt.parked--
 			// Resume the winner at its check time, in the position the
 			// literal check event (scheduled at the attempt's arrival)
 			// would have fired, so everything it schedules next gets the
@@ -343,110 +282,57 @@ func (w *World) advancePort(node int, t, bornLimit sim.Time, incl bool) (advance
 	}
 }
 
-// reconcilePort re-establishes the wake-chain invariant after the port or a
-// lock hosted on it changed: for every lock with a parked poller that could
-// acquire it in the current state, an engine event is scheduled at the
-// earliest such poll decision, in that decision's own event position. Stale
-// wake events (the state changed again first) fire harmlessly: they just
+// reconcilePort re-establishes the wake-chain invariant after the port or
+// its lock changed: while the lock is free and a poller is parked, an
+// engine event is scheduled at the earliest pending poll decision, in that
+// decision's own event position. Each parked poller has exactly one pending
+// step, so that decision is the smaller of the two queue heads. A held
+// lock arms nothing, and a mark already at or before the decision covers
+// it; otherwise the mark moves there and one wake is armed. Stale wake
+// events (the state changed again first) fire harmlessly: they just
 // advance and reconcile again.
 func (w *World) reconcilePort(node int) {
 	pt := w.memPort[node]
 	w.census.Reconciles++
-	if len(pt.byReg) == 0 {
+	if pt.parked == 0 || pt.held {
 		return
 	}
-	// Every parked poller waits on one lock (hom). Held exclusively, it can
-	// be acquired by none of them, and nothing is armed. Free, it can be
-	// acquired by all of them, so the walk below would end with the lock's
-	// mark at the earliest pending step. Each registered poller has exactly
-	// one pending step, in checks or in arrivals, keyed by its own
-	// (at, born), so that step is the smaller of the two queue heads:
-	// compared with the current mark as the walk compares, it arms the same
-	// wake at the same key, or none. On such a port only a shared-held lock
-	// needs the walk.
-	if pt.hom {
-		pl := pt.byReg[0]
-		ls := &pl.win.locks[pl.target]
-		if ls.excl {
-			return
-		}
-		if ls.readers == 0 {
-			if k, _ := pt.next(); !ls.covers(k.at, k.born) {
-				ls.mark(k.at, k.born)
-				w.scheduleWake(node, pl.win, pl.target, k.at, k.born)
-			}
-			return
-		}
+	k, _ := pt.next()
+	if pt.wakeSet && (pt.wakeAt < k.at || (pt.wakeAt == k.at && pt.wakeBorn <= k.born)) {
+		return
 	}
-	w.census.Walks++
-	w.census.PollersWalked += len(pt.byReg)
-	// Walk in registration order — the literal scan order — improving each
-	// lock's covering mark, then arm one wake per improved lock at its final
-	// mark, where a grant can actually resolve. The intermediate, superseded
-	// marks get no event. Such an event would fire later as a stale link and
-	// replay the port up to its own position, and where that position ties
-	// a real port event's (time, scheduling-time) key exactly, the extra
-	// trigger decides which of the two the port serves first. The arming
-	// rule is therefore part of the frozen event sequence (DESIGN.md §3).
-	for _, pl := range pt.byReg {
-		ls := &pl.win.locks[pl.target]
-		if !pl.canSucceed(ls) || ls.covers(pl.at, pl.born) {
-			continue
-		}
-		ls.mark(pl.at, pl.born)
-		found := false
-		for i := range pt.armW {
-			if pt.armW[i] == pl.win && pt.armT[i] == pl.target {
-				found = true
-				break
-			}
-		}
-		if !found {
-			pt.armW = append(pt.armW, pl.win)
-			pt.armT = append(pt.armT, pl.target)
-		}
-	}
-	for i := range pt.armW {
-		win, target := pt.armW[i], pt.armT[i]
-		pt.armW[i] = nil
-		ls := &win.locks[target]
-		w.scheduleWake(node, win, target, ls.wakeAt, ls.wakeBorn)
-	}
-	pt.armW = pt.armW[:0]
-	pt.armT = pt.armT[:0]
+	pt.wakeAt, pt.wakeBorn, pt.wakeSet = k.at, k.born, true
+	w.scheduleWake(node, k.at, k.born)
 }
 
 // wakeRec is one pooled wake-chain link; fire is the closure bound to it
 // once, so re-arming the chain allocates nothing in steady state.
 type wakeRec struct {
-	w      *World
-	win    *Win
-	target int
-	node   int
-	at     sim.Time
-	born   sim.Time
-	fire   func()
-	next   *wakeRec
+	w    *World
+	node int
+	at   sim.Time
+	born sim.Time
+	fire func()
+	next *wakeRec
 }
 
 // scheduleWake arms one link of the wake chain: an event at the exact
 // (time, scheduling-time) position of the poll decision it covers, firing
 // after every same-instant event that preceded the literal decision and
 // before every one that followed it.
-func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) {
+func (w *World) scheduleWake(node int, at, born sim.Time) {
 	w.census.WakesArmed++
 	wr := w.wakeFree
 	if wr == nil {
 		wr = &wakeRec{w: w}
 		wr.fire = func() {
 			w := wr.w
-			ls := &wr.win.locks[wr.target]
-			cleared := ls.wakeSet && ls.wakeAt == wr.at && ls.wakeBorn == wr.born
-			if cleared {
-				ls.wakeSet = false
-			}
 			node, born := wr.node, wr.born
-			wr.win = nil
+			pt := w.memPort[node]
+			cleared := pt.wakeSet && pt.wakeAt == wr.at && pt.wakeBorn == born
+			if cleared {
+				pt.wakeSet = false
+			}
 			wr.next = w.wakeFree
 			w.wakeFree = wr
 			advanced := w.advancePort(node, w.eng.Now(), born, true)
@@ -455,22 +341,15 @@ func (w *World) scheduleWake(node int, win *Win, target int, at, born sim.Time) 
 			}
 			// A stale link that replayed nothing cannot have created a new
 			// earliest decision: poll positions only ever move later, every
-			// eligibility-increasing mutation (a release) reconciles itself,
-			// and the covering mark is still armed. The walk would arm
-			// nothing, so skip it.
+			// release reconciles itself, and the covering mark is still
+			// armed. The reconcile would arm nothing, so skip it.
 		}
 	} else {
 		w.wakeFree = wr.next
 	}
-	wr.win, wr.target, wr.node, wr.at, wr.born = win, target, node, at, born
+	wr.node, wr.at, wr.born = node, at, born
 	w.eng.ScheduleAsOf(at, born, wr.fire)
 }
-
-// Lock types, mirroring MPI_LOCK_EXCLUSIVE / MPI_LOCK_SHARED.
-const (
-	LockExclusive = iota
-	LockShared
-)
 
 // newWin builds the window object shared by a collective allocation. The
 // per-rank segments subslice one backing array (and reuse a pooled window's
@@ -480,7 +359,7 @@ func (c *Comm) newWin(name string, count int, shared bool) *Win {
 	size := c.Size()
 	w := c.world.pooledWin(size, count)
 	if w == nil {
-		w = &Win{mem: make([]int64, size*count), data: make([][]int64, size), locks: make([]lockState, size)}
+		w = &Win{mem: make([]int64, size*count), data: make([][]int64, size)}
 	}
 	w.world, w.comm, w.name, w.shared = c.world, c, name, shared
 	for i := range w.data {
@@ -500,10 +379,6 @@ func (w *World) pooledWin(size, count int) *Win {
 			pw.mem = pw.mem[:size*count]
 			for j := range pw.mem {
 				pw.mem[j] = 0
-			}
-			pw.locks = pw.locks[:size]
-			for j := range pw.locks {
-				pw.locks[j] = lockState{}
 			}
 			pw.LockAttempts, pw.LockAcquisitions, pw.AtomicOps = 0, 0, 0
 			return pw
@@ -550,17 +425,17 @@ func (w *Win) targetNode(target int) int {
 	return w.world.ranks[w.comm.ranks[target]].node
 }
 
-// NewLockCont returns a reusable MPI_Win_lock issuer for a node-local
-// window. Calling the issuer performs the literal first attempt's arrival
-// (poll replay plus port service reservation) at the current instant and
-// arranges for cont to run, holding the lock, in an event at the position of
-// the literal check — where a blocking caller would have resumed. Under
-// contention the retry loop runs through the coalesced poller machinery and
-// cont fires at the exact grant position. The issuer is recycled from r
-// (World.Reset) with its func bound once, so a warm rank allocates nothing
-// here or per issue.
-func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
-	site := w.lockSite(r, target, lockType, "NewLockCont")
+// NewLockCont returns a reusable exclusive MPI_Win_lock issuer for a
+// node-local window. Calling the issuer performs the literal first attempt's
+// arrival (poll replay plus port service reservation) at the current instant
+// and arranges for cont to run, holding the lock, in an event at the
+// position of the literal check — where a blocking caller would have
+// resumed. Under contention the retry loop runs through the coalesced poller
+// machinery and cont fires at the exact grant position. The issuer is
+// recycled from r (World.Reset) with its func bound once, so a warm rank
+// allocates nothing here or per call.
+func (w *Win) NewLockCont(r *Rank, target int, cont func()) func() {
+	site := w.lockSite(r, target, "NewLockCont")
 	is, fresh := nextIssuer(&r.locks, &r.nlock)
 	if fresh {
 		is.issue, is.checkFn = is.attempt, is.check
@@ -569,30 +444,35 @@ func (w *Win) NewLockCont(r *Rank, target, lockType int, cont func()) func() {
 	return is.issue
 }
 
-// lockSite is the lock a lock or unlock issuer addresses, with the world,
-// engine, port and memory model that serve it. Every New*Cont call
+// lockSite is the port whose lock a lock or unlock issuer addresses, with
+// the world, engine and memory model that serve it. Every New*Cont call
 // refreshes it, so a recycled issuer never reaches an earlier cell's
 // machine.
 type lockSite struct {
-	w        *World
-	eng      *sim.Engine
-	pt       *rmaPort
-	mem      *cluster.MemParams
-	win      *Win
-	tn       int // the target's node
-	target   int
-	lockType int
+	w   *World
+	eng *sim.Engine
+	pt  *rmaPort
+	mem *cluster.MemParams
+	tn  int // the target's node
 }
 
 // lockSite checks that r may lock w's target segment — windows are locked
-// from the hosting node — and returns the site op addresses.
-func (w *Win) lockSite(r *Rank, target, lockType int, op string) lockSite {
+// from the hosting node, and the hosting port serves one lock — and returns
+// the site op addresses. The first issuer built for a port names its lock.
+func (w *Win) lockSite(r *Rank, target int, op string) lockSite {
 	tn := w.targetNode(target)
 	if tn != r.node {
 		panic(fmt.Sprintf("mpi: %s on %s[%d] from another node", op, w.name, target))
 	}
 	wld := w.world
-	return lockSite{wld, wld.eng, wld.memPort[tn], &wld.cfg.Mem, w, tn, target, lockType}
+	pt := wld.memPort[tn]
+	if pt.win == nil {
+		pt.win, pt.target = w, target
+	} else if pt.win != w || pt.target != target {
+		panic(fmt.Sprintf("mpi: %s on %s[%d]: node %d's port already serves the lock on %s[%d]",
+			op, w.name, target, tn, pt.win.name, pt.target))
+	}
+	return lockSite{wld, wld.eng, pt, &wld.cfg.Mem, tn}
 }
 
 // lockIssuer is one NewLockCont issuer.
@@ -607,8 +487,8 @@ type lockIssuer struct {
 
 // attempt is the literal first attempt: one RMA round through the port.
 func (is *lockIssuer) attempt() {
-	is.win.LockAttempts++
 	eng, pt := is.eng, is.pt
+	pt.win.LockAttempts++
 	if pt.pending() {
 		is.w.advancePort(is.tn, eng.Now(), eng.EventScheduledAt(), false)
 	}
@@ -620,29 +500,18 @@ func (is *lockIssuer) attempt() {
 
 // check is the first attempt's lock-word check.
 func (is *lockIssuer) check() {
-	w := is.win
-	ls := &w.locks[is.target]
-	if is.lockType == LockExclusive {
-		if !ls.excl && ls.readers == 0 {
-			ls.excl = true
-			w.LockAcquisitions++
-			is.cont()
-			return
-		}
-	} else if !ls.excl {
-		ls.readers++
-		w.LockAcquisitions++
+	pt := is.pt
+	if !pt.held {
+		pt.held = true
+		pt.win.LockAcquisitions++
 		is.cont()
 		return
 	}
 	// Contended: park on the coalesced poller machinery, exactly as the
 	// literal loop registered itself after its first failed check.
 	born := is.eng.Now()
-	is.pl = poller{
-		win: w, target: is.target, lockType: is.lockType, cont: is.cont,
-		at: born + is.mem.PollInterval, born: born,
-	}
-	is.pt.pushPoller(&is.pl)
+	is.pl = poller{cont: is.cont, at: born + is.mem.PollInterval, born: born}
+	pt.pushPoller(&is.pl)
 }
 
 // NewUnlockCont returns a reusable MPI_Win_unlock issuer: issue(arrival,
@@ -655,8 +524,8 @@ func (is *lockIssuer) check() {
 // itself an RMA round (it flushes pending operations), so it competes with
 // poll attempts at the port. At most one unlock may be in flight per issuer.
 // Like NewLockCont's, the issuer is recycled from r.
-func (w *Win) NewUnlockCont(r *Rank, target, lockType int, cont func(release sim.Time)) func(arrival, born sim.Time) {
-	site := w.lockSite(r, target, lockType, "NewUnlockCont")
+func (w *Win) NewUnlockCont(r *Rank, target int, cont func(release sim.Time)) func(arrival, born sim.Time) {
+	site := w.lockSite(r, target, "NewUnlockCont")
 	is, fresh := nextIssuer(&r.unlocks, &r.nunlock)
 	if fresh {
 		is.issue, is.arriveFn, is.releaseFn = is.schedule, is.arrive, is.release
@@ -693,22 +562,14 @@ func (is *unlockIssuer) arrive() {
 
 // release frees the lock at the service completion and resumes the caller.
 func (is *unlockIssuer) release() {
-	if is.pt.pending() {
+	pt := is.pt
+	if pt.pending() {
 		is.w.advancePort(is.tn, is.releaseAt, is.eng.EventScheduledAt(), false)
 	}
-	w := is.win
-	ls := &w.locks[is.target]
-	if is.lockType == LockExclusive {
-		if !ls.excl {
-			panic(fmt.Sprintf("mpi: exclusive Unlock of unheld lock on %s[%d]", w.name, is.target))
-		}
-		ls.excl = false
-	} else {
-		if ls.readers <= 0 {
-			panic(fmt.Sprintf("mpi: shared Unlock of unheld lock on %s[%d]", w.name, is.target))
-		}
-		ls.readers--
+	if !pt.held {
+		panic(fmt.Sprintf("mpi: Unlock of unheld lock on %s[%d]", pt.win.name, pt.target))
 	}
+	pt.held = false
 	is.w.reconcilePort(is.tn)
 	is.cont(is.releaseAt)
 }

@@ -80,35 +80,34 @@ func TestStepQueuesMatchMinScan(t *testing.T) {
 	}
 }
 
-// TestFreeLockArmMatchesWalk checks reconcilePort on ports whose pollers all
-// wait on one lock against the registration-order walk, spelled out here,
-// that arms the lock's wake. Each draw registers 1–24 exclusive or mixed
-// shared and exclusive pollers, parks each one's step in either queue at
-// keys with exact (at, born) ties, and sets the lock's prior mark before,
-// at or after the earliest step, or leaves it unset. Then it frees the lock,
-// or leaves it held by one reader, and reconciles. The lock's mark and the
-// number of wake events scheduled must equal the walk's.
+// TestFreeLockArmMatchesWalk checks reconcilePort's head arm against a
+// registration-order walk of the pollers, spelled out here, that arms the
+// lock's wake. Each draw registers 1–24 pollers, parks each one's step in
+// either queue at keys with exact (at, born) ties, and sets the port's
+// prior mark before, at or after the earliest step, or leaves it unset.
+// Then it frees the lock, or leaves it held, and reconciles. The port's
+// mark and the number of wake events scheduled must equal the walk's.
 func TestFreeLockArmMatchesWalk(t *testing.T) {
+	type mark struct {
+		at, born sim.Time
+		set      bool
+	}
 	rng := rand.New(rand.NewSource(1))
 	for draw := 0; draw < 20000; draw++ {
 		eng := sim.NewEngine(1)
 		pt := &rmaPort{}
 		w := &World{eng: eng, memPort: []*rmaPort{pt}}
-		win := &Win{locks: make([]lockState, 1)}
-		mixed := rng.Intn(2) == 0
 		n := 1 + rng.Intn(24)
 		base := sim.Time(1 + rng.Intn(4))
-		for i := 0; i < n; i++ {
+		pollers := make([]*poller, n)
+		for i := range pollers {
 			at := base + sim.Time(rng.Intn(4))
-			pl := &poller{win: win, lockType: LockExclusive, at: at, born: at - sim.Time(1+rng.Intn(2))}
-			if mixed && rng.Intn(2) == 0 {
-				pl.lockType = LockShared
-			}
-			pt.pushPoller(pl)
+			pollers[i] = &poller{at: at, born: at - sim.Time(1+rng.Intn(2))}
+			pt.pushPoller(pollers[i])
 		}
 		// Park each poller's one pending step in either queue.
 		pt.arrivals.reset()
-		for _, pl := range pt.byReg {
+		for _, pl := range pollers {
 			k := pollerKey{at: pl.at, born: pl.born, pl: pl}
 			if rng.Intn(2) == 0 {
 				pt.checks.push(k)
@@ -117,51 +116,49 @@ func TestFreeLockArmMatchesWalk(t *testing.T) {
 			}
 		}
 		// The earliest step by (at, born), scanned over the pollers.
-		first := pt.byReg[0]
-		for _, pl := range pt.byReg {
+		first := pollers[0]
+		for _, pl := range pollers {
 			if pl.at < first.at || pl.at == first.at && pl.born < first.born {
 				first = pl
 			}
 		}
-		ls := &win.locks[0]
 		switch rng.Intn(6) {
 		case 0: // no mark
 		case 1:
-			ls.wakeAt, ls.wakeBorn, ls.wakeSet = first.at-1, first.born+1, true
+			pt.wakeAt, pt.wakeBorn, pt.wakeSet = first.at-1, first.born+1, true
 		case 2:
-			ls.wakeAt, ls.wakeBorn, ls.wakeSet = first.at, first.born-1, true
+			pt.wakeAt, pt.wakeBorn, pt.wakeSet = first.at, first.born-1, true
 		case 3:
-			ls.wakeAt, ls.wakeBorn, ls.wakeSet = first.at, first.born, true
+			pt.wakeAt, pt.wakeBorn, pt.wakeSet = first.at, first.born, true
 		case 4:
-			ls.wakeAt, ls.wakeBorn, ls.wakeSet = first.at, first.born+1, true
+			pt.wakeAt, pt.wakeBorn, pt.wakeSet = first.at, first.born+1, true
 		case 5:
-			ls.wakeAt, ls.wakeBorn, ls.wakeSet = first.at+1, first.born-1, true
+			pt.wakeAt, pt.wakeBorn, pt.wakeSet = first.at+1, first.born-1, true
 		}
 		// The lock after a release: free, or in one draw of four still
-		// held by one reader.
-		if rng.Intn(4) == 0 {
-			ls.readers = 1
-		}
+		// held by a winner.
+		pt.held = rng.Intn(4) == 0
 
 		// The walk: in registration order, every poller that can take the
 		// lock moves its mark to the poller's step when that step is
 		// earlier; one wake is armed if the mark moved.
-		want, wantWakes := *ls, uint32(0)
-		for _, pl := range pt.byReg {
-			if want.excl || pl.lockType == LockExclusive && want.readers > 0 {
+		want, wantWakes := mark{pt.wakeAt, pt.wakeBorn, pt.wakeSet}, uint32(0)
+		for _, pl := range pollers {
+			if pt.held {
 				continue
 			}
-			if want.wakeSet && (want.wakeAt < pl.at || want.wakeAt == pl.at && want.wakeBorn <= pl.born) {
+			if want.set && (want.at < pl.at || want.at == pl.at && want.born <= pl.born) {
 				continue
 			}
-			want.wakeAt, want.wakeBorn, want.wakeSet = pl.at, pl.born, true
+			want = mark{pl.at, pl.born, true}
 			wantWakes = 1
 		}
 		pushes := eng.PushStamp()
 		w.reconcilePort(0)
-		if *ls != want || eng.PushStamp()-pushes != wantWakes {
-			t.Fatalf("draw %d (%d pollers, mixed %v, %d readers): mark %+v and %d wakes, walk gives %+v and %d",
-				draw, n, mixed, ls.readers, *ls, eng.PushStamp()-pushes, want, wantWakes)
+		got := mark{pt.wakeAt, pt.wakeBorn, pt.wakeSet}
+		if got != want || eng.PushStamp()-pushes != wantWakes {
+			t.Fatalf("draw %d (%d pollers, held %v): mark %+v and %d wakes, walk gives %+v and %d",
+				draw, n, pt.held, got, eng.PushStamp()-pushes, want, wantWakes)
 		}
 	}
 }
