@@ -145,7 +145,6 @@ func main() {
 			BreakerFailures: *brkFails,
 			BreakerCooldown: *brkCool,
 			ProbeInterval:   *probeEvery,
-			MaxCells:        *maxCells,
 			DeadlineMargin:  *dlMargin,
 			Limits:          limits,
 		})

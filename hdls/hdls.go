@@ -422,63 +422,77 @@ func RunFigure(figure int, app App, opt FigureOptions) (*FigureResult, error) {
 		}
 	}
 
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	err := runCells(len(cells), opt.Parallelism, func(i int) error {
+		c := cells[i]
+		res, err := RunSummary(Config{
+			App: app, Nodes: opt.Nodes[c.ni], Inter: inter, Intra: fr.Intras[c.ii],
+			Approach: c.ap, Scale: opt.Scale, Seed: opt.Seed,
+			ExtendedRuntime: opt.Extended,
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.name, err)
+		}
+		fr.Times[c.ap][c.ii][c.ni] = float64(res.ParallelTime)
+		return nil
+	}, func(i int) {
+		if opt.Progress != nil {
+			opt.Progress(cells[i].name)
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(cells) {
-		workers = len(cells)
+	return fr, nil
+}
+
+// runCells runs cell(0) … cell(n-1) on a pool of p goroutines (0 means
+// GOMAXPROCS, never more than n) and returns the error of the lowest-index
+// failing cell, or nil. Cells start in index order, and once a cell has
+// failed no later one starts, while every earlier one has already started
+// and runs to the end: the error is the same at any p and in any
+// completion order. done observes each cell that succeeded, serialized.
+func runCells(n, p int, cell func(i int) error, done func(i int)) error {
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
+	if p > n {
+		p = n
 	}
 	var (
 		next   atomic.Int64
-		mu     sync.Mutex // guards errIdx/errVal and Progress calls
-		errIdx = -1       // lowest failing cell index, for deterministic errors
+		mu     sync.Mutex // guards errIdx, errVal and done calls
+		errIdx int
 		errVal error
 		wg     sync.WaitGroup
 	)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < p; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(cells) {
+				if i >= n {
 					return
 				}
-				c := cells[i]
 				mu.Lock()
-				stop := errVal != nil
+				stop := errVal != nil && errIdx < i
 				mu.Unlock()
 				if stop {
 					return
 				}
-				res, err := RunSummary(Config{
-					App: app, Nodes: opt.Nodes[c.ni], Inter: inter, Intra: fr.Intras[c.ii],
-					Approach: c.ap, Scale: opt.Scale, Seed: opt.Seed,
-					ExtendedRuntime: opt.Extended,
-				})
-				if err != nil {
-					mu.Lock()
-					if errVal == nil || i < errIdx {
-						errIdx, errVal = i, fmt.Errorf("%s: %w", c.name, err)
-					}
-					mu.Unlock()
-					return
+				err := cell(i)
+				mu.Lock()
+				if err == nil {
+					done(i)
+				} else if errVal == nil || i < errIdx {
+					errIdx, errVal = i, err
 				}
-				fr.Times[c.ap][c.ii][c.ni] = float64(res.ParallelTime)
-				if opt.Progress != nil {
-					mu.Lock()
-					opt.Progress(c.name)
-					mu.Unlock()
-				}
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	if errVal != nil {
-		return nil, errVal
-	}
-	return fr, nil
+	return errVal
 }
 
 // Table renders the figure as a text table shaped like the paper's panels:

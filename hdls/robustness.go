@@ -3,10 +3,7 @@ package hdls
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/dls"
 	"repro/internal/core"
@@ -205,55 +202,31 @@ func RunRobustness(opt RobustnessOptions) (*RobustnessResult, error) {
 	// below runs in cell-index order so the floating-point reductions are
 	// identical at any Parallelism.
 	summaries := make([]core.Summary, cells)
-	var (
-		next    atomic.Int64
-		mu      sync.Mutex
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < parallelismOf(o.Parallelism, cells); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= cells {
-					return
-				}
-				ti, rep := i%len(o.Techniques), i/len(o.Techniques)
-				tech := o.Techniques[ti]
-				mu.Lock()
-				stop := firstEr != nil
-				mu.Unlock()
-				if stop {
-					return
-				}
-				s, err := RunSummary(Config{
-					App: o.App, Nodes: o.Nodes, WorkersPerNode: o.WorkersPerNode,
-					Inter: tech, Intra: o.Intra, Approach: o.Approach,
-					Scale: o.Scale, Seed: o.Seed + int64(rep),
-					Workload: o.Workload, Topology: o.Topology, Perturbation: o.Perturbation,
-					ExtendedRuntime: o.ExtendedRuntime,
-				})
-				mu.Lock()
-				if err != nil {
-					if firstEr == nil {
-						firstEr = fmt.Errorf("robustness %v seed %d: %w", tech, o.Seed+int64(rep), err)
-					}
-					mu.Unlock()
-					return
-				}
-				summaries[i] = s
-				if o.Progress != nil {
-					o.Progress(fmt.Sprintf("robust %v seed %d %s", tech, o.Seed+int64(rep), rr.Scenario))
-				}
-				mu.Unlock()
-			}
-		}()
+	cellOf := func(i int) (dls.Technique, int64) {
+		return o.Techniques[i%len(o.Techniques)], o.Seed + int64(i/len(o.Techniques))
 	}
-	wg.Wait()
-	if firstEr != nil {
-		return nil, firstEr
+	err := runCells(cells, o.Parallelism, func(i int) error {
+		tech, seed := cellOf(i)
+		s, err := RunSummary(Config{
+			App: o.App, Nodes: o.Nodes, WorkersPerNode: o.WorkersPerNode,
+			Inter: tech, Intra: o.Intra, Approach: o.Approach,
+			Scale: o.Scale, Seed: seed,
+			Workload: o.Workload, Topology: o.Topology, Perturbation: o.Perturbation,
+			ExtendedRuntime: o.ExtendedRuntime,
+		})
+		if err != nil {
+			return fmt.Errorf("robustness %v seed %d: %w", tech, seed, err)
+		}
+		summaries[i] = s
+		return nil
+	}, func(i int) {
+		if o.Progress != nil {
+			tech, seed := cellOf(i)
+			o.Progress(fmt.Sprintf("robust %v seed %d %s", tech, seed, rr.Scenario))
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	accs := make([]robustAcc, len(o.Techniques))
 	for i, s := range summaries {
@@ -263,21 +236,6 @@ func RunRobustness(opt RobustnessOptions) (*RobustnessResult, error) {
 		rr.Rows[i] = accs[i].row(tech, o.Repeats)
 	}
 	return rr, nil
-}
-
-// parallelismOf bounds the sweep worker pool: an explicit Parallelism wins,
-// otherwise the host's cores, never more workers than cells.
-func parallelismOf(p, cells int) int {
-	if cells < 1 {
-		return 1
-	}
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > cells {
-		p = cells
-	}
-	return p
 }
 
 func scenarioName(o RobustnessOptions) string {

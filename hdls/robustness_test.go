@@ -1,6 +1,11 @@
 package hdls
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"repro/dls"
+)
 
 // TestRobustnessSpreadColumns pins the robustness Table and CSV: a
 // single-seed sweep prints the means-only layout, byte for byte, and rows
@@ -55,5 +60,27 @@ func TestRobustnessSpreadColumns(t *testing.T) {
 				t.Errorf("CSV:\n%s\nwant:\n%s", got, tc.csv)
 			}
 		})
+	}
+}
+
+// TestRobustnessErrorIsLowestCell repeats a sweep in which every cell
+// fails, on four workers, and requires one error text in every run: the
+// lowest-index cell's, whatever order the cells finish in.
+func TestRobustnessErrorIsLowestCell(t *testing.T) {
+	const runs = 200
+	var want string
+	for run := 0; run < runs; run++ {
+		_, err := RunRobustness(RobustnessOptions{Intra: dls.WF, Parallelism: 4})
+		if err == nil {
+			t.Fatal("a sweep with intra-node WF succeeded")
+		}
+		if run == 0 {
+			want = err.Error()
+			if !strings.HasPrefix(want, "robustness STATIC seed 1: ") {
+				t.Fatalf("error %q does not name the first cell", want)
+			}
+		} else if err.Error() != want {
+			t.Fatalf("run %d: error %q, first run %q", run, err, want)
+		}
 	}
 }

@@ -55,8 +55,6 @@ type Options struct {
 	// period (0 disables; probes feed the breakers, so a recovered worker is
 	// reclosed without sacrificing a live cell as the trial).
 	ProbeInterval time.Duration
-	// MaxCells bounds one sweep submission (default 4096).
-	MaxCells int
 	// DeadlineMargin is subtracted from a client's end-to-end deadline when
 	// it is forwarded to workers (default 250ms): the worker must stop this
 	// much earlier so its final lines still cross the network and merge
@@ -66,9 +64,9 @@ type Options struct {
 	// MaxSweeps bounds concurrently coordinated sweeps; excess submissions
 	// are shed with 503 + Retry-After (default 16).
 	MaxSweeps int
-	// Limits are the per-cell validation limits, matching the workers'
-	// serve.Options so the coordinator 400s exactly what a worker would.
-	// Zero fields take the serve defaults.
+	// Limits are the request limits, matching the workers' serve.Options
+	// (MaxCells and the per-cell bounds) so the coordinator 400s exactly
+	// what a worker would. Zero fields take the serve defaults.
 	Limits serve.Options
 	// Client overrides the HTTP client used for worker traffic (tests).
 	Client *http.Client
@@ -98,9 +96,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 2 * time.Second
-	}
-	if o.MaxCells <= 0 {
-		o.MaxCells = 4096
 	}
 	if o.DeadlineMargin <= 0 {
 		o.DeadlineMargin = 250 * time.Millisecond
@@ -249,6 +244,24 @@ func (c *Coordinator) backoff(attempt int) time.Duration {
 	c.jitterMu.Unlock()
 	half := d / 2
 	return half + time.Duration(f*float64(half))
+}
+
+// retryDelay is the wait before retrying cells after `failed` failed
+// attempts: the jittered backoff, raised to the worker's Retry-After hint.
+// The worker told us when it expects to have capacity, and coming back
+// earlier just buys another shed; the hint is capped, so a bad one cannot
+// park the sweep (maxRetryAfterFloor). Retries the hint stretched count
+// in hintsHonored, one per cell.
+func (c *Coordinator) retryDelay(failed int, hint time.Duration, cells int) time.Duration {
+	delay := c.backoff(failed)
+	if hint > maxRetryAfterFloor {
+		hint = maxRetryAfterFloor
+	}
+	if hint > delay {
+		c.hintsHonored.Add(int64(cells))
+		return hint
+	}
+	return delay
 }
 
 // pickWorker returns the first worker in succ order (rotated by offset)
@@ -417,33 +430,8 @@ func (m *merge) wait(ctx context.Context, i int) ([]byte, error) {
 // running the same sweep, whatever routing, retries, or worker losses
 // happened along the way.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Cells []hdls.Config `json:"cells"`
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep request: %v", err)
-		return
-	}
-	if len(req.Cells) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep needs at least one cell")
-		return
-	}
-	if len(req.Cells) > c.opts.MaxCells {
-		httpError(w, http.StatusBadRequest, "sweep of %d cells exceeds the %d-cell limit",
-			len(req.Cells), c.opts.MaxCells)
-		return
-	}
-	for i, cfg := range req.Cells {
-		if err := c.opts.Limits.CheckCell(cfg); err != nil {
-			httpError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-	}
-	deadline, err := serve.ParseDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	cells, deadline, ok := c.opts.Limits.ReadRequest(w, r, true)
+	if !ok {
 		return
 	}
 	// Graceful degradation: refuse up front — with a Retry-After hint —
@@ -471,8 +459,8 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// One hash per cell: the routing key is the hash's leading bytes, so
 	// HashKeyOf recovers it instead of HashKey hashing the cell again.
-	work := make([]*cellWork, len(req.Cells))
-	for i, cfg := range req.Cells {
+	work := make([]*cellWork, len(cells))
+	for i, cfg := range cells {
 		hash := cfg.Hash()
 		work[i] = &cellWork{
 			index: i,
@@ -556,21 +544,7 @@ func (c *Coordinator) dispatch(ctx context.Context, wi int, batch []*cellWork, a
 		return
 	}
 	c.retries.Add(int64(len(unresolved)))
-	// A worker's Retry-After is the floor for this attempt's backoff: the
-	// worker told us exactly when it expects to have capacity, and coming
-	// back earlier just buys another shed. Capped, so a bad hint cannot
-	// park the sweep (maxRetryAfterFloor).
-	delay := c.backoff(attempt)
-	if hint > delay {
-		if hint > maxRetryAfterFloor {
-			hint = maxRetryAfterFloor
-		}
-		if hint > delay {
-			delay = hint
-			c.hintsHonored.Add(int64(len(unresolved)))
-		}
-	}
-	if err := c.sleep(ctx, delay); err != nil {
+	if err := c.sleep(ctx, c.retryDelay(attempt, hint, len(unresolved))); err != nil {
 		return
 	}
 	// Regroup by each cell's next successor: retries walk the ring away
@@ -767,22 +741,11 @@ func cellConfigs(batch []*cellWork) []hdls.Config {
 // response verbatim — /v1/run bodies are already a pure function of the
 // config, so relaying preserves byte-identity and the X-Cache header.
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	var cfg hdls.Config
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid config: %v", err)
+	cells, deadline, ok := c.opts.Limits.ReadRequest(w, r, false)
+	if !ok {
 		return
 	}
-	if err := c.opts.Limits.CheckCell(cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	deadline, derr := serve.ParseDeadline(r)
-	if derr != nil {
-		httpError(w, http.StatusBadRequest, "%v", derr)
-		return
-	}
+	cfg := cells[0]
 	meta := shardMeta{client: serve.ClientKey(r)}
 	if !deadline.IsZero() {
 		meta.deadline = deadline.Add(-c.opts.DeadlineMargin)
@@ -810,17 +773,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	for attempt := 1; attempt <= c.opts.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			c.retries.Add(1)
-			// As in dispatch: a worker's Retry-After floors the backoff.
-			delay := c.backoff(attempt - 1)
-			if hint > delay {
-				if hint > maxRetryAfterFloor {
-					hint = maxRetryAfterFloor
-				}
-				if hint > delay {
-					delay = hint
-					c.hintsHonored.Add(1)
-				}
-			}
+			delay := c.retryDelay(attempt-1, hint, 1)
 			hint = 0
 			if c.sleep(r.Context(), delay) != nil {
 				return

@@ -456,25 +456,35 @@ func TestFleetRunRelay(t *testing.T) {
 	}
 }
 
-// TestFleetSweepValidation: the coordinator rejects malformed sweeps with
-// the same 400 shape a worker would, before any shard is dispatched.
+// TestFleetSweepValidation: the coordinator rejects malformed sweeps,
+// before any shard is dispatched, with the same 400 body a lone worker
+// with the same limits answers.
 func TestFleetSweepValidation(t *testing.T) {
-	w1 := startWorker(t, serve.Options{})
-	_, ts, _ := newCoordinator(t, []string{w1.URL}, func(o *Options) { o.MaxCells = 4 })
-	for name, body := range map[string]string{
-		"empty cells":    `{"cells":[]}`,
-		"unknown field":  `{"cellz":[]}`,
-		"over max cells": `{"cells":[{},{},{},{},{}]}`,
-		"invalid cell":   `{"cells":[{"nodes":-1}]}`,
-	} {
-		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	limits := serve.Options{MaxCells: 4}
+	lone := startWorker(t, limits)
+	_, ts, _ := newCoordinator(t, []string{lone.URL}, func(o *Options) { o.Limits = limits })
+	post := func(base, query, body string) (int, []byte) {
+		resp, err := http.Post(base+"/v1/sweep"+query, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, b)
+		return resp.StatusCode, b
+	}
+	for _, tc := range []struct{ name, query, body string }{
+		{"empty cells", "", `{"cells":[]}`},
+		{"unknown field", "", `{"cellz":[]}`},
+		{"over max cells", "", `{"cells":[{},{},{},{},{}]}`},
+		{"invalid cell", "", `{"cells":[{"nodes":-1}]}`},
+		{"malformed timeout", "?timeout=soon", `{"cells":[{}]}`},
+	} {
+		status, b := post(ts.URL, tc.query, tc.body)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, status, b)
+		}
+		if wantStatus, want := post(lone.URL, tc.query, tc.body); wantStatus != status || !bytes.Equal(b, want) {
+			t.Errorf("%s: coordinator answered %d %s, a lone worker %d %s", tc.name, status, b, wantStatus, want)
 		}
 	}
 }

@@ -289,29 +289,15 @@ func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Write(append(body, '\n'))
 }
 
-// decodeConfig decodes a strict JSON hdls.Config: unknown fields and
-// trailing garbage are rejected so typos fail loudly instead of running
-// the default experiment.
-func decodeConfig(dec *json.Decoder, cfg *hdls.Config) error {
-	dec.DisallowUnknownFields()
-	return dec.Decode(cfg)
-}
-
 // maxTotalWorkers bounds Nodes × WorkersPerNode regardless of the
 // per-axis limits: rank state is allocated per worker, so the product is
 // the simulation's memory footprint.
 const maxTotalWorkers = 1 << 20
 
-// checkCell enforces the service's size limits — before hdls.Config
-// validation, because validation itself builds the machine model and the
-// workload profile, both sized by request fields — then runs the full
-// validator. All failures map to 400s.
-func (s *Server) checkCell(cfg hdls.Config) error { return s.opts.CheckCell(cfg) }
-
 // CheckCell validates one cell against these limits (zero fields take the
-// defaults), then runs the full hdls.Config validator. Exported so the
-// fleet coordinator rejects a sweep with exactly the 400s a worker would,
-// instead of discovering validation failures shard by shard mid-dispatch.
+// defaults) — before hdls.Config validation, because validation itself
+// builds the machine model and the workload profile, both sized by request
+// fields — then runs the full validator.
 func (o Options) CheckCell(cfg hdls.Config) error {
 	o = o.withDefaults()
 	c := cfg.Canonical()
@@ -337,6 +323,62 @@ func (o Options) CheckCell(cfg hdls.Config) error {
 		}
 	}
 	return cfg.Validate()
+}
+
+// sweepRequest is the POST /v1/sweep body.
+type sweepRequest struct {
+	// Cells lists one hdls.Config per simulation cell.
+	Cells []hdls.Config `json:"cells"`
+}
+
+// ReadRequest reads a POST /v1/run body (one hdls.Config) or, with sweep
+// set, a POST /v1/sweep body, plus the request's deadline, against these
+// limits: strict JSON (unknown fields and trailing garbage fail loudly
+// instead of running the default experiment), a sweep of 1 to MaxCells
+// cells, every cell through CheckCell, then ParseDeadline. On the first
+// failure it writes the 400 and returns ok = false. The daemon and the
+// fleet coordinator both read requests here, so the coordinator rejects a
+// request with exactly the 400 a worker would, instead of discovering
+// validation failures shard by shard mid-dispatch.
+func (o Options) ReadRequest(w http.ResponseWriter, r *http.Request, sweep bool) (cells []hdls.Config, deadline time.Time, ok bool) {
+	fail := func(format string, args ...any) ([]hdls.Config, time.Time, bool) {
+		httpError(w, http.StatusBadRequest, format, args...)
+		return nil, time.Time{}, false
+	}
+	o = o.withDefaults()
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if sweep {
+		var req sweepRequest
+		if err := dec.Decode(&req); err != nil {
+			return fail("invalid sweep request: %v", err)
+		}
+		if len(req.Cells) == 0 {
+			return fail("sweep needs at least one cell")
+		}
+		if len(req.Cells) > o.MaxCells {
+			return fail("sweep of %d cells exceeds the %d-cell limit", len(req.Cells), o.MaxCells)
+		}
+		for i, cfg := range req.Cells {
+			if err := o.CheckCell(cfg); err != nil {
+				return fail("cell %d: %v", i, err)
+			}
+		}
+		cells = req.Cells
+	} else {
+		cells = make([]hdls.Config, 1)
+		if err := dec.Decode(&cells[0]); err != nil {
+			return fail("invalid config: %v", err)
+		}
+		if err := o.CheckCell(cells[0]); err != nil {
+			return fail("%v", err)
+		}
+	}
+	deadline, err := ParseDeadline(r)
+	if err != nil {
+		return fail("%v", err)
+	}
+	return cells, deadline, true
 }
 
 // retryAfterSeconds is the back-pressure hint on drain/saturation 503s:
@@ -414,21 +456,11 @@ func (s *Server) submitOrFail(ctx context.Context, w http.ResponseWriter, cells 
 // resolved ("hit", "hit-disk", "hit-peer", "collapsed", or "miss" for the
 // one request that actually ran the engine).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var cfg hdls.Config
-	if err := decodeConfig(json.NewDecoder(r.Body), &cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid config: %v", err)
+	cells, deadline, ok := s.opts.ReadRequest(w, r, false)
+	if !ok {
 		return
 	}
-	if err := s.checkCell(cfg); err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	deadline, err := ParseDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	hash := cfg.Hash()
+	hash := cells[0].Hash()
 	if body, tier, ok := s.store.LookupLocal(hash); ok {
 		// Cache hits dodge the deadline entirely: replaying frozen bytes is
 		// effectively free, and refusing them would punish the cheap path.
@@ -445,7 +477,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithDeadline(ctx, deadline)
 		defer cancel()
 	}
-	job := s.submitOrFail(ctx, w, []hdls.Config{cfg}, SubmitOpts{Client: ClientKey(r)})
+	job := s.submitOrFail(ctx, w, cells, SubmitOpts{Client: ClientKey(r)})
 	if job == nil {
 		return
 	}
@@ -514,42 +546,13 @@ func writeRunBody(w http.ResponseWriter, hash string, summaryJSON []byte, cache 
 	w.Write(body)
 }
 
-// sweepRequest is the POST /v1/sweep body.
-type sweepRequest struct {
-	// Cells lists one hdls.Config per simulation cell.
-	Cells []hdls.Config `json:"cells"`
-}
-
 // handleSweep accepts a batch of cells. With ?stream=1 (or Accept:
 // application/x-ndjson) it streams per-cell NDJSON results on this
 // response as cells complete; otherwise it returns 202 with the job's
 // status and results URLs.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req sweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "invalid sweep request: %v", err)
-		return
-	}
-	if len(req.Cells) == 0 {
-		httpError(w, http.StatusBadRequest, "sweep needs at least one cell")
-		return
-	}
-	if len(req.Cells) > s.opts.MaxCells {
-		httpError(w, http.StatusBadRequest, "sweep of %d cells exceeds the %d-cell limit",
-			len(req.Cells), s.opts.MaxCells)
-		return
-	}
-	for i, cfg := range req.Cells {
-		if err := s.checkCell(cfg); err != nil {
-			httpError(w, http.StatusBadRequest, "cell %d: %v", i, err)
-			return
-		}
-	}
-	deadline, err := ParseDeadline(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	cells, deadline, ok := s.opts.ReadRequest(w, r, true)
+	if !ok {
 		return
 	}
 	// Streamed sweeps live and die with their request: the submitter is the
@@ -575,7 +578,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			ctx, opts.Cancel = context.WithDeadline(ctx, deadline)
 		}
 	}
-	job := s.submitOrFail(ctx, w, req.Cells, opts)
+	job := s.submitOrFail(ctx, w, cells, opts)
 	if job == nil {
 		if opts.Cancel != nil {
 			opts.Cancel()
