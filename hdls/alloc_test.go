@@ -1,11 +1,17 @@
 package hdls_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/dls"
 	"repro/hdls"
+	"repro/internal/serve"
 )
 
 // allocGateCell is the cell of the allocation gates: the benchmark's
@@ -15,10 +21,36 @@ var allocGateCell = hdls.Config{
 	Approach: hdls.MPIOpenMP, Workload: "constant:n=2048", Seed: 987654321,
 }
 
+// replaySweepBody is a request body shaped like the benchmark's replay-mix
+// sweeps: 16 small cells, each encoded by json.Marshal, inters rotating
+// and approaches alternating, with large fresh seeds.
+func replaySweepBody(t *testing.T) []byte {
+	inters := []dls.Technique{dls.STATIC, dls.GSS, dls.TSS, dls.FAC2}
+	body := []byte(`{"cells":[`)
+	for i := 0; i < 16; i++ {
+		c := allocGateCell
+		c.Inter, c.Approach, c.Seed = inters[i%len(inters)], hdls.MPIMPI, 0x5deece66d*int64(i+1)
+		if i%2 == 1 {
+			c.Approach = hdls.MPIOpenMP
+		}
+		js, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, js...)
+	}
+	return append(body, "]}"...)
+}
+
 // TestAllocGates pins the exact heap allocations of the per-cell codec
 // work every served cell pays: hashing its config, decoding it, and each
-// enum codec on its own. Allocation counts are deterministic, so a change
-// in either direction is a change to explain, not noise.
+// enum codec on its own, and those of reading a replay-mix sweep through
+// serve's request reader, whose count only the plain decoder reaches.
+// Allocation counts are deterministic, so a change in either direction is
+// a change to explain, not noise.
 func TestAllocGates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes escape analysis and allocation counts")
@@ -35,6 +67,17 @@ func TestAllocGates(t *testing.T) {
 		ap   hdls.Approach
 		app  hdls.App
 	)
+	body := replaySweepBody(t)
+	req := httptest.NewRequest(http.MethodPost, "/v1/sweep?stream=1", nil)
+	req.ContentLength = int64(len(body))
+	rec := httptest.NewRecorder()
+	readSweep := func() error {
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		if cells, _, ok := (serve.Options{}).ReadRequest(rec, req, true); !ok || len(cells) != 16 {
+			return errors.New(rec.Body.String())
+		}
+		return nil
+	}
 	techName, techDashed := []byte(`"GSS"`), []byte(`"AWF-B"`)
 	apName, appName := []byte(`"MPI+OpenMP"`), []byte(`"PSIA"`)
 	for _, g := range []struct {
@@ -42,7 +85,7 @@ func TestAllocGates(t *testing.T) {
 		want float64
 		fn   func() error
 	}{
-		{"Config.Hash", 10, func() error { hash = allocGateCell.Hash(); return nil }},
+		{"Config.Hash", 5, func() error { hash = allocGateCell.Hash(); return nil }},
 		{"json.Unmarshal one Config", 13, func() error { cfg = hdls.Config{}; return json.Unmarshal(js, &cfg) }},
 		{"Technique.MarshalJSON", 1, func() (err error) { out, err = dls.AWFB.MarshalJSON(); return err }},
 		{"Technique.UnmarshalJSON", 1, func() error { return tech.UnmarshalJSON(techName) }},
@@ -51,6 +94,7 @@ func TestAllocGates(t *testing.T) {
 		{"Approach.UnmarshalJSON", 4, func() error { return ap.UnmarshalJSON(apName) }},
 		{"App.MarshalJSON", 1, func() (err error) { out, err = hdls.PSIA.MarshalJSON(); return err }},
 		{"App.UnmarshalJSON", 2, func() error { return app.UnmarshalJSON(appName) }},
+		{"serve ReadRequest of a 16-cell replay sweep", 152, readSweep},
 	} {
 		if err := g.fn(); err != nil {
 			t.Fatalf("%s: %v", g.name, err)

@@ -74,7 +74,9 @@ func fuzzAffordable(c hdls.Config) bool {
 }
 
 // FuzzConfigHash checks the canonicalization that hdlsd's result store
-// keys on: for every config that decodes strictly and validates, the hash
+// keys on. For every config that decodes strictly, AppendJSON appends the
+// bytes of json.Marshal and fails exactly when it does, for the config and
+// its canonical form. For every one that also validates, the hash
 // survives a marshal/decode round trip, equals the hash of its canonical
 // form, and Canonical is idempotent.
 func FuzzConfigHash(f *testing.F) {
@@ -94,7 +96,12 @@ func FuzzConfigHash(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cfg hdls.Config
-		if decodeStrict(data, &cfg) != nil || !fuzzAffordable(cfg) || cfg.Validate() != nil {
+		if decodeStrict(data, &cfg) != nil {
+			return
+		}
+		sameAsMarshal(t, cfg)
+		sameAsMarshal(t, cfg.Canonical())
+		if !fuzzAffordable(cfg) || cfg.Validate() != nil {
 			return
 		}
 		hash := cfg.Hash()

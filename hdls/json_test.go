@@ -1,12 +1,15 @@
 package hdls_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/dls"
 	"repro/hdls"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -116,5 +119,63 @@ func TestValidateMatchesRun(t *testing.T) {
 	good := hdls.Config{Nodes: 2, WorkersPerNode: 4, Workload: "constant:n=128"}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// sameAsMarshal fails t unless c.AppendJSON appends exactly the bytes of
+// json.Marshal(c), and fails exactly when json.Marshal fails.
+func sameAsMarshal(t *testing.T, c hdls.Config) {
+	t.Helper()
+	want, wantErr := json.Marshal(c)
+	prefix := []byte("prefix:")
+	got, err := c.AppendJSON(prefix)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Errorf("%+v: AppendJSON error %v, json.Marshal error %v", c, err, wantErr)
+	case err == nil && !bytes.Equal(got, append(prefix, want...)):
+		t.Errorf("AppendJSON appended\n%s\njson.Marshal wrote\n%s", got[len(prefix):], want)
+	}
+}
+
+// TestAppendJSONMatchesMarshal holds the reflection-free encoder to
+// json.Marshal on the cases it must get exactly right: floats on both
+// sides of the 1e-6 and 1e21 format switches, negative zero, NaN and
+// infinities, strings that need escaping, unknown enums, and the
+// omitzero sections with empty and non-nil-but-empty slices.
+func TestAppendJSONMatchesMarshal(t *testing.T) {
+	cells := []hdls.Config{
+		{},
+		{App: hdls.PSIA, Nodes: 16, WorkersPerNode: 32, Inter: dls.AWFB, Intra: dls.FAC2,
+			Approach: hdls.MPIOpenMPNoWait, Scale: 64, Seed: math.MinInt64, Workload: "constant:n=2048",
+			ExtendedRuntime: true, CollectTrace: true, NoiseCV: 0.05},
+		{Nodes: -3, WorkersPerNode: math.MaxInt, Scale: -1, Seed: math.MaxInt64},
+		{App: hdls.App(7)},
+		{Inter: dls.Technique(99)},
+		{Intra: dls.Technique(-1)},
+		{Approach: hdls.Approach(42)},
+		{Workload: `a"b\c`}, {Workload: "<&>"}, {Workload: "tab\t"}, {Workload: "é"},
+		{Workload: "\xff"}, {Workload: "\u2028"}, {Workload: "\x7f"}, {Workload: " ~"},
+		{Topology: hdls.Topology{NodeSpeeds: []float64{}}},
+		{Topology: hdls.Topology{NodeCores: []int{}}},
+		{Topology: hdls.Topology{NodeSpeeds: []float64{1, 0.5, 1e-7, 1e21}, NodeCores: []int{16, 64}}},
+		{Topology: hdls.Topology{NodeSpeeds: []float64{math.NaN()}}},
+		{Perturbation: hdls.Perturbation{BackgroundLoad: []float64{}}},
+		{Perturbation: hdls.Perturbation{NoiseCV: math.Copysign(0, -1)}},
+		{Perturbation: hdls.Perturbation{Seed: -1}},
+		{Perturbation: hdls.Perturbation{SlowdownRate: 2, SlowdownFactor: 3, SlowdownDuration: 0.01,
+			BackgroundLoad: []float64{0.1, 0}}},
+		{Perturbation: hdls.Perturbation{SlowdownDuration: sim.Time(math.Inf(1))}},
+	}
+	for _, f := range []float64{
+		math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 123456789,
+		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), -1e-6, -9.99e-7, 1e-7, 1.5e-10, 5e-324,
+		1e21, math.Nextafter(1e21, 0), -1e21, 1e20, 1.5e300, math.MaxFloat64, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		cells = append(cells, hdls.Config{NoiseCV: f})
+	}
+	for _, c := range cells {
+		sameAsMarshal(t, c)
+		sameAsMarshal(t, c.Canonical())
 	}
 }

@@ -592,10 +592,8 @@ type workerLine struct {
 // breaker failure).
 func (c *Coordinator) streamShard(ctx context.Context, wi int, batch []*cellWork, chaos string, meta shardMeta, mg *merge) ([]*cellWork, time.Duration, error) {
 	wk := c.workers[wi]
-	body, err := json.Marshal(struct {
-		Cells []hdls.Config `json:"cells"`
-	}{Cells: cellConfigs(batch)})
-	if err != nil { // hdls.Config is plain data; cannot fail
+	body, err := shardBody(batch)
+	if err != nil { // every cell passed validation; cannot fail
 		return batch, 0, err
 	}
 	reqCtx, cancel := context.WithCancel(ctx)
@@ -727,13 +725,20 @@ func (c *Coordinator) streamShard(ctx context.Context, wi int, batch []*cellWork
 	return nil, 0, nil
 }
 
-// cellConfigs projects a batch back to the worker wire format.
-func cellConfigs(batch []*cellWork) []hdls.Config {
-	cfgs := make([]hdls.Config, len(batch))
+// shardBody encodes a batch in the worker wire format, {"cells":[…]},
+// with the bytes json.Marshal would write.
+func shardBody(batch []*cellWork) ([]byte, error) {
+	body := append(make([]byte, 0, 16+192*len(batch)), `{"cells":[`...)
 	for i, cw := range batch {
-		cfgs[i] = cw.cfg
+		if i > 0 {
+			body = append(body, ',')
+		}
+		var err error
+		if body, err = cw.cfg.AppendJSON(body); err != nil {
+			return nil, err
+		}
 	}
-	return cfgs
+	return append(body, "]}"...), nil
 }
 
 // handleRun validates one cell and forwards it to its ring home (or, on

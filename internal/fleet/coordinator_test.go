@@ -478,6 +478,8 @@ func TestFleetSweepValidation(t *testing.T) {
 		{"over max cells", "", `{"cells":[{},{},{},{},{}]}`},
 		{"invalid cell", "", `{"cells":[{"nodes":-1}]}`},
 		{"malformed timeout", "?timeout=soon", `{"cells":[{}]}`},
+		{"trailing garbage", "", `{"cells":[{"nodes":2,"workload":"constant:n=64"}]} garbage`},
+		{"second request value", "", `{"cells":[{"nodes":2,"workload":"constant:n=64"}]}{"cells":[]}`},
 	} {
 		status, b := post(ts.URL, tc.query, tc.body)
 		if status != http.StatusBadRequest {

@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -331,43 +332,61 @@ type sweepRequest struct {
 	Cells []hdls.Config `json:"cells"`
 }
 
+// maxBufferedBody caps the request body ReadRequest reads into one buffer
+// sized from Content-Length. A body with no length, or a longer one,
+// streams through json.Decoder, so a false Content-Length cannot make the
+// reader allocate more than this. A 4096-cell sweep of small cells is
+// about 600 KiB.
+const maxBufferedBody = 1 << 20
+
+// errTrailingData rejects a body with more than whitespace after its JSON
+// value.
+var errTrailingData = errors.New("unexpected data after the JSON value")
+
 // ReadRequest reads a POST /v1/run body (one hdls.Config) or, with sweep
 // set, a POST /v1/sweep body, plus the request's deadline, against these
-// limits: strict JSON (unknown fields and trailing garbage fail loudly
+// limits: strict JSON (unknown fields and trailing data fail loudly
 // instead of running the default experiment), a sweep of 1 to MaxCells
 // cells, every cell through CheckCell, then ParseDeadline. On the first
 // failure it writes the 400 and returns ok = false. The daemon and the
 // fleet coordinator both read requests here, so the coordinator rejects a
 // request with exactly the 400 a worker would, instead of discovering
 // validation failures shard by shard mid-dispatch.
+//
+// A body whose Content-Length is within maxBufferedBody is read once into
+// a buffer. A plain sweep — {"cells":[…]} of configs that
+// hdls.Config.DecodePlainJSON decodes — is decoded without reflection;
+// any other body, and every error, goes through the strict json.Decoder
+// over the same bytes, which alone words the 400s.
 func (o Options) ReadRequest(w http.ResponseWriter, r *http.Request, sweep bool) (cells []hdls.Config, deadline time.Time, ok bool) {
 	fail := func(format string, args ...any) ([]hdls.Config, time.Time, bool) {
 		httpError(w, http.StatusBadRequest, format, args...)
 		return nil, time.Time{}, false
 	}
 	o = o.withDefaults()
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
+	body, src := bufferBody(r)
 	if sweep {
-		var req sweepRequest
-		if err := dec.Decode(&req); err != nil {
-			return fail("invalid sweep request: %v", err)
+		if cells, ok = plainSweep(body, o.MaxCells); !ok {
+			var req sweepRequest
+			if err := decodeStrict(src, &req); err != nil {
+				return fail("invalid sweep request: %v", err)
+			}
+			cells = req.Cells
 		}
-		if len(req.Cells) == 0 {
+		if len(cells) == 0 {
 			return fail("sweep needs at least one cell")
 		}
-		if len(req.Cells) > o.MaxCells {
-			return fail("sweep of %d cells exceeds the %d-cell limit", len(req.Cells), o.MaxCells)
+		if len(cells) > o.MaxCells {
+			return fail("sweep of %d cells exceeds the %d-cell limit", len(cells), o.MaxCells)
 		}
-		for i, cfg := range req.Cells {
+		for i, cfg := range cells {
 			if err := o.CheckCell(cfg); err != nil {
 				return fail("cell %d: %v", i, err)
 			}
 		}
-		cells = req.Cells
 	} else {
 		cells = make([]hdls.Config, 1)
-		if err := dec.Decode(&cells[0]); err != nil {
+		if err := decodeStrict(src, &cells[0]); err != nil {
 			return fail("invalid config: %v", err)
 		}
 		if err := o.CheckCell(cells[0]); err != nil {
@@ -380,6 +399,89 @@ func (o Options) ReadRequest(w http.ResponseWriter, r *http.Request, sweep bool)
 	}
 	return cells, deadline, true
 }
+
+// bufferBody returns the request body as a buffer, when its Content-Length
+// is known and within maxBufferedBody, and a reader of the same bytes for
+// the decoder. A body shorter than its length reaches the decoder as it
+// would have streamed: what arrived, then the body's own error.
+func bufferBody(r *http.Request) ([]byte, io.Reader) {
+	if r.ContentLength <= 0 || r.ContentLength > maxBufferedBody {
+		return nil, r.Body
+	}
+	body := make([]byte, r.ContentLength)
+	if n, err := io.ReadFull(r.Body, body); err != nil {
+		return nil, io.MultiReader(bytes.NewReader(body[:n]), r.Body)
+	}
+	return body, bytes.NewReader(body)
+}
+
+// decodeStrict decodes the one JSON value src holds into v, rejecting
+// unknown fields and anything but whitespace after the value.
+func decodeStrict(src io.Reader, v any) error {
+	dec := json.NewDecoder(src)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	rest := io.MultiReader(dec.Buffered(), src)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		if len(skipSpace(buf[:n])) > 0 {
+			return errTrailingData
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// plainSweep decodes body when it is a plain sweep: {"cells":[…]} holding
+// one to maxCells configs that hdls.Config.DecodePlainJSON decodes, with
+// only whitespace around the tokens. Any other body returns ok = false.
+func plainSweep(body []byte, maxCells int) (cells []hdls.Config, ok bool) {
+	b, ok := plainPrefix(body, `{`, `"cells"`, `:`, `[`)
+	if !ok {
+		return nil, false
+	}
+	// A plain cell is a flat object, so the braces after the first count
+	// the cells unless a string holds one: only the capacity rests on it.
+	cells = make([]hdls.Config, 0, min(bytes.Count(b, []byte{'{'}), maxCells))
+	for len(cells) < maxCells {
+		cells = append(cells, hdls.Config{})
+		if b, ok = cells[len(cells)-1].DecodePlainJSON(b); !ok {
+			return nil, false
+		}
+		if b = skipSpace(b); len(b) > 0 && b[0] == ',' {
+			b = b[1:]
+			continue
+		}
+		if b, ok = plainPrefix(b, `]`, `}`); ok && len(skipSpace(b)) == 0 {
+			return cells, true
+		}
+		return nil, false
+	}
+	return nil, false
+}
+
+// plainPrefix consumes the tokens from the front of b, each after
+// optional whitespace, and returns what follows them.
+func plainPrefix(b []byte, tokens ...string) ([]byte, bool) {
+	for _, tok := range tokens {
+		b = skipSpace(b)
+		if !bytes.HasPrefix(b, []byte(tok)) {
+			return b, false
+		}
+		b = b[len(tok):]
+	}
+	return b, true
+}
+
+// skipSpace drops JSON whitespace from the front of b.
+func skipSpace(b []byte) []byte { return bytes.TrimLeft(b, " \t\r\n") }
 
 // retryAfterSeconds is the back-pressure hint on drain/saturation 503s:
 // shed requests tell clients when to come back instead of letting them

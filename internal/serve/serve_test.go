@@ -96,6 +96,7 @@ func TestRunValidation400s(t *testing.T) {
 		{"workers over limit", `{"workers_per_node":1000000000}`},
 		{"node x worker product over limit", `{"nodes":4096,"workers_per_node":4096}`},
 		{"workload n over limit", `{"workload":"constant:n=2000000000"}`},
+		{"trailing data", `{"nodes":2,"workers_per_node":4,"workload":"constant:n=64"} x`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -311,6 +312,9 @@ func TestSweepRejectsBadBatches(t *testing.T) {
 		"unknown field":  `{"cellz":[]}`,
 		"over max cells": `{"cells":[{},{},{},{},{}]}`,
 		"invalid cell":   `{"cells":[{"nodes":2},{"nodes":-1}]}`,
+		// Trailing data after the request value fails the whole request.
+		"trailing garbage":     `{"cells":[{"nodes":2,"workload":"constant:n=64"}]} garbage`,
+		"second request value": `{"cells":[{"nodes":2,"workload":"constant:n=64"}]}{"cells":[]}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -115,28 +115,40 @@ func readsSeed(kind string) bool {
 }
 
 // specParams parses a spec's head: the kind token and its key=val
-// parameter map. Shared by parseSpec and SpecN.
+// parameter map, for parseSpec.
 func specParams(spec string) (string, map[string]float64, error) {
 	kind := specKind(spec)
 	if kind == "" {
 		return "", nil, fmt.Errorf("workload: empty spec")
 	}
-	_, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
 	kv := map[string]float64{}
-	if rest != "" {
-		for _, part := range strings.Split(rest, ",") {
-			k, v, ok := strings.Cut(part, "=")
-			if !ok {
-				return "", nil, fmt.Errorf("workload: spec %q: bad parameter %q (want key=val)", spec, part)
-			}
-			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-			if err != nil {
-				return "", nil, fmt.Errorf("workload: spec %q: parameter %q: %v", spec, part, err)
-			}
-			kv[strings.ToLower(strings.TrimSpace(k))] = f
-		}
+	err := eachParam(spec, func(key string, val float64) { kv[key] = val })
+	if err != nil {
+		return "", nil, err
 	}
 	return kind, kv, nil
+}
+
+// eachParam parses a spec's key=val parameters in order and hands each to
+// fn with its key trimmed and lower-cased (which allocates only for a key
+// with upper-case letters) and its value parsed. The first malformed
+// parameter stops the walk with parseSpec's error.
+func eachParam(spec string, fn func(key string, val float64)) error {
+	_, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	for more := rest != ""; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
+		k, v, ok := strings.Cut(part, "=")
+		if !ok {
+			return fmt.Errorf("workload: spec %q: bad parameter %q (want key=val)", spec, part)
+		}
+		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+		if err != nil {
+			return fmt.Errorf("workload: spec %q: parameter %q: %v", spec, part, err)
+		}
+		fn(strings.ToLower(strings.TrimSpace(k)), f)
+	}
+	return nil
 }
 
 // specKind returns a spec's kind token, lower-cased.
@@ -146,36 +158,44 @@ func specKind(spec string) string {
 }
 
 // SpecN reports the iteration count a spec would produce, without
-// building the profile (no cost-slice allocation). Services use it to
+// building the profile (no cost-slice allocation) or a parameter map: it
+// reads n and scale as the parameters go by. Services use it to
 // bound request sizes before ParseSpec commits memory; parameter errors
 // the full parse would catch later (bad lo/hi etc.) are not detected here.
 func SpecN(spec string) (int, error) {
-	kind, kv, err := specParams(spec)
+	kind := specKind(spec)
+	if kind == "" {
+		return 0, fmt.Errorf("workload: empty spec")
+	}
+	// The last value given for a key wins, as in the parameter map.
+	n, scale := 4096.0, 8.0
+	err := eachParam(spec, func(key string, val float64) {
+		switch key {
+		case "n":
+			n = val
+		case "scale":
+			scale = val
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
-	get := func(key string, def float64) float64 {
-		if v, ok := kv[key]; ok {
-			return v
-		}
-		return def
-	}
 	switch kind {
 	case "mandelbrot", "mandel":
-		scale := int(get("scale", 8))
+		scale := int(scale)
 		if scale < 1 {
 			scale = 1
 		}
 		return 1024 * (1024 / scale), nil
 	case "psia", "spinimage":
-		scale := int(get("scale", 8))
+		scale := int(scale)
 		if scale < 1 {
 			scale = 1
 		}
 		return (1 << 22) / scale, nil
 	case "constant", "uniform", "gaussian", "normal", "exponential", "exp",
 		"gamma", "bimodal", "increasing", "decreasing":
-		n := int(get("n", 4096))
+		n := int(n)
 		if n <= 0 {
 			return 0, fmt.Errorf("workload: spec %q: n = %d, must be positive", spec, n)
 		}

@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -156,6 +159,104 @@ func TestSpecN(t *testing.T) {
 	for _, bad := range []string{"", "nosuchkind", "constant:n=-1", "gaussian:n=oops"} {
 		if _, err := SpecN(bad); err == nil {
 			t.Errorf("SpecN(%q) should fail", bad)
+		}
+	}
+}
+
+// referenceSpecN is SpecN as it was built on the parameter map: split the
+// spec, lower-case every key, keep the last value per key, then size.
+func referenceSpecN(spec string) (int, error) {
+	kind := specKind(spec)
+	if kind == "" {
+		return 0, fmt.Errorf("workload: empty spec")
+	}
+	_, rest, _ := strings.Cut(strings.TrimSpace(spec), ":")
+	kv := map[string]float64{}
+	if rest != "" {
+		for _, part := range strings.Split(rest, ",") {
+			k, v, ok := strings.Cut(part, "=")
+			if !ok {
+				return 0, fmt.Errorf("workload: spec %q: bad parameter %q (want key=val)", spec, part)
+			}
+			f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			if err != nil {
+				return 0, fmt.Errorf("workload: spec %q: parameter %q: %v", spec, part, err)
+			}
+			kv[strings.ToLower(strings.TrimSpace(k))] = f
+		}
+	}
+	get := func(key string, def float64) float64 {
+		if v, ok := kv[key]; ok {
+			return v
+		}
+		return def
+	}
+	switch kind {
+	case "mandelbrot", "mandel":
+		scale := int(get("scale", 8))
+		if scale < 1 {
+			scale = 1
+		}
+		return 1024 * (1024 / scale), nil
+	case "psia", "spinimage":
+		scale := int(get("scale", 8))
+		if scale < 1 {
+			scale = 1
+		}
+		return (1 << 22) / scale, nil
+	case "constant", "uniform", "gaussian", "normal", "exponential", "exp",
+		"gamma", "bimodal", "increasing", "decreasing":
+		n := int(get("n", 4096))
+		if n <= 0 {
+			return 0, fmt.Errorf("workload: spec %q: n = %d, must be positive", spec, n)
+		}
+		return n, nil
+	}
+	return 0, fmt.Errorf("workload: unknown kind %q", kind)
+}
+
+// TestSpecNMatchesMapReference holds SpecN, which parses parameters in
+// place, to the map-building reference: the same count or the same error
+// text for every spec kind's example, the benchmark's specs, and specs
+// that are malformed, repeat a key, change its case or spell it with
+// non-ASCII letters that lower-case (or fold, but do not lower-case) to
+// ASCII.
+func TestSpecNMatchesMapReference(t *testing.T) {
+	specs := []string{
+		"constant:n=2048", "constant:n=256", "constant:n=64", "gaussian:n=1024,cv=0.3",
+		"mandelbrot:scale=64", "psia:scale=64", "constant", "mandelbrot", "psia",
+		"", " ", ":", ":n=3", "unknown", "unknown:n=3", "nosuchkind:n=oops",
+		"constant:", "constant:,", "constant:n=5,", "constant:n", "constant:=5",
+		"constant:n=", "constant:n=abc", "constant:n=0x10", "constant:n=1_000",
+		"constant:n=-1", "constant:n=0", "constant:n=0.5", "constant:n=2.9",
+		"constant:n=1e300", "constant:n=-1e300", "constant:n=NaN", "constant:n=inf",
+		"constant:n=1e400", "constant:n=4,n=8", "constant:N=7", "CONSTANT:N=7,Mean=1",
+		"  constant : n = 9 , mean = 2e-6  ", "constant:n=9;mean=1", "constant:n==9",
+		"constant:mean=1,n=3,n=2", "constant:nn=3", "constant:n =3,N= 4",
+		"gaussian:n=8,cv=bad", "gaussian:cv=bad,n=8", "bimodal:frac=1.5,n=10",
+		"mandelbrot:scale=0", "mandelbrot:scale=-4", "mandelbrot:scale=3", "mandel:scale=2048",
+		"psia:scale=5", "spinimage:SCALE=16", "psia:scale=1e30", "psia:Scale=2,scale=4",
+		"mandelbrot:ſcale=2", "mandelbrot:ſcale=2,n=3", "constant:K=3,n=4",
+		"constant:İ=3,n=5", "constant:ṅ=3", "constant:é=1", "psia:scale\x00=2",
+		"exp:n=12", "normal:n=13", "gamma:n=14,shape=0.5", "increasing:n=15",
+		"decreasing:n=16", "uniform:n=17,lo=1,hi=2",
+	}
+	for _, k := range SpecKinds() {
+		specs = append(specs, k.Example, strings.ToUpper(k.Example), k.Name)
+		for _, a := range k.Aliases {
+			specs = append(specs, a+":n=33,scale=2")
+		}
+	}
+	for _, spec := range specs {
+		got, err := SpecN(spec)
+		want, wantErr := referenceSpecN(spec)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Errorf("SpecN(%q) = %d, %v; reference %d, %v", spec, got, err, want, wantErr)
+		case err != nil && err.Error() != wantErr.Error():
+			t.Errorf("SpecN(%q) error %q, reference %q", spec, err, wantErr)
+		case got != want:
+			t.Errorf("SpecN(%q) = %d, reference %d", spec, got, want)
 		}
 	}
 }
