@@ -2,15 +2,16 @@ package dls
 
 import (
 	"math"
-	"sync"
+
+	"repro/internal/memo"
 )
 
 // This file provides a process-wide memo of immutable schedules: sweep
 // drivers run thousands of cells that rebuild identical schedules
 // (same technique, N, P, statistical inputs and weights), so non-adaptive
 // schedules — pure functions of (step, worker) — are constructed once and
-// shared. Adaptive techniques (the AWF family, AF) carry per-run mutable
-// state and are never shared.
+// shared, up to maxSchedules of them. Adaptive techniques (the AWF family,
+// AF) carry per-run mutable state and are never shared.
 //
 // FAC and TFSS extend an internal batch table lazily, which would race
 // under concurrent sweep cells; Shared freezes them at construction by
@@ -34,7 +35,17 @@ type memoEntry struct {
 	weights []float64
 }
 
-var memo sync.Map // memoKey -> *memoEntry
+// maxSchedules bounds the schedule memo by entries. A sweep of the paper's
+// 256-cell grid retains 1,738 schedules at scale 64, 5,906 at scale 8 and
+// 13,082 at scale 1; the bound holds all three grids' 20,726 together.
+// A retained schedule holds 290–500 bytes of live heap on amd64 (290 over
+// the grid at scale 64, 496 for FAC at N = 2048), so the bound pins at
+// most about 16 MiB. The key carries the profile's measured mean and
+// sigma, so every fresh-seed cell of a random workload adds keys; past
+// the bound those schedules are built per call instead of retained.
+const maxSchedules = 1 << 15
+
+var schedules = memo.New[memoKey](maxSchedules, func(*memoEntry) int64 { return 1 })
 
 func hashWeights(ws []float64) uint64 {
 	h := uint64(1469598103934665603) // FNV-1a
@@ -64,7 +75,9 @@ func weightsEqual(a, b []float64) bool {
 // parameters p, safe for concurrent use from independent simulations. The
 // returned schedule produces chunk sizes identical to MustNew(t, p) for
 // every (step, worker). Adaptive techniques fall back to a fresh mutable
-// schedule, as they must.
+// schedule, as they must. The memo retains at most maxSchedules
+// schedules; past the bound Shared builds and freezes a schedule on every
+// call, the same chunks unshared.
 func Shared(t Technique, p Params) Schedule {
 	if t.IsAdaptive() {
 		return MustNew(t, p)
@@ -74,27 +87,19 @@ func Shared(t Technique, p Params) Schedule {
 		mean: p.Mean, sigma: p.Sigma, overhead: p.Overhead,
 		wlen: len(p.Weights), whash: hashWeights(p.Weights),
 	}
-	if v, ok := memo.Load(key); ok {
-		e := v.(*memoEntry)
-		if weightsEqual(e.weights, p.Weights) {
-			return e.sched
+	e, _ := schedules.Get(key, func() (*memoEntry, error) {
+		s := MustNew(t, p)
+		freeze(s)
+		e := &memoEntry{sched: s}
+		if p.Weights != nil {
+			e.weights = append([]float64(nil), p.Weights...)
 		}
+		return e, nil
+	})
+	if !weightsEqual(e.weights, p.Weights) {
 		return MustNew(t, p) // astronomically unlikely hash collision
 	}
-	s := MustNew(t, p)
-	freeze(s)
-	e := &memoEntry{sched: s}
-	if p.Weights != nil {
-		e.weights = append([]float64(nil), p.Weights...)
-	}
-	if prev, loaded := memo.LoadOrStore(key, e); loaded {
-		pe := prev.(*memoEntry)
-		if weightsEqual(pe.weights, p.Weights) {
-			return pe.sched
-		}
-		return s
-	}
-	return s
+	return e.sched
 }
 
 // freeze precomputes the lazily extended batch tables of FAC and TFSS so

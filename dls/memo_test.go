@@ -98,3 +98,32 @@ func TestSharedAdaptiveNotMemoized(t *testing.T) {
 		t.Fatal("Shared(AWFB) lost the Adaptive interface")
 	}
 }
+
+// TestSharedBounded fills the schedule memo to maxSchedules with distinct
+// keys: the memo never holds more, and past the bound Shared serves every
+// non-adaptive technique's schedule unretained (a fresh instance per call),
+// chunk-for-chunk equal to MustNew's.
+func TestSharedBounded(t *testing.T) {
+	for n := 1; schedules.Used() < maxSchedules; n++ {
+		Shared(SS, Params{N: n, P: 1})
+	}
+	for _, tc := range memoCases() {
+		p := tc.p
+		p.Overhead += 1e-7 // a key no other test has retained
+		a, b := Shared(tc.t, p), Shared(tc.t, p)
+		if a == b {
+			t.Errorf("%s: retained past the bound", tc.name)
+		}
+		fresh := MustNew(tc.t, p)
+		for step := 0; step < 3*p.N/p.P+64; step++ {
+			for w := 0; w < p.P; w++ {
+				if got, want := a.Chunk(step, w), fresh.Chunk(step, w); got != want {
+					t.Fatalf("%s past the bound: Chunk(%d,%d) = %d, MustNew %d", tc.name, step, w, got, want)
+				}
+			}
+		}
+	}
+	if used := schedules.Used(); used != maxSchedules {
+		t.Errorf("memo holds %d schedules, bound %d", used, maxSchedules)
+	}
+}

@@ -627,11 +627,6 @@ func (fr *FigureResult) EfficiencyTable(scale, workersPerNode int) string {
 // IdealTime returns total work / total workers for the figure's app and a
 // node count — the lower bound the paper's best configurations approach.
 func IdealTime(app App, scale, nodes, workersPerNode int) sim.Time {
-	var prof *workload.Profile
-	if app == PSIA {
-		prof = workload.PSIAProfile(scale)
-	} else {
-		prof = workload.MandelbrotProfile(scale)
-	}
+	prof, _ := profileFor(Config{App: app, Scale: scale}) // an app profile never fails
 	return prof.Total() / sim.Time(nodes*workersPerNode)
 }

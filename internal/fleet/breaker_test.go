@@ -3,6 +3,8 @@ package fleet
 import (
 	"testing"
 	"time"
+
+	"repro/internal/serve"
 )
 
 // fakeClock drives a Breaker through time deterministically.
@@ -130,8 +132,8 @@ func TestRetryAfterFromBreakerDeadline(t *testing.T) {
 		wk.breaker.now = clock
 	}
 
-	if got := c.retryAfter(); got != retryAfterSeconds {
-		t.Fatalf("healthy fleet: Retry-After = %q, want the %q default", got, retryAfterSeconds)
+	if got := c.retryAfter(); got != serve.DefaultRetryAfter {
+		t.Fatalf("healthy fleet: Retry-After = %q, want the %q default", got, serve.DefaultRetryAfter)
 	}
 
 	// Trip w1 now and w2 three seconds later: the hint must follow the
@@ -149,7 +151,7 @@ func TestRetryAfterFromBreakerDeadline(t *testing.T) {
 		t.Fatalf("900ms before the deadline: Retry-After = %q, want \"1\"", got)
 	}
 	now = base.Add(20 * time.Second)
-	if got := c.retryAfter(); got != retryAfterSeconds {
-		t.Fatalf("cooldown elapsed: Retry-After = %q, want the %q default (half-open admits a trial)", got, retryAfterSeconds)
+	if got := c.retryAfter(); got != serve.DefaultRetryAfter {
+		t.Fatalf("cooldown elapsed: Retry-After = %q, want the %q default (half-open admits a trial)", got, serve.DefaultRetryAfter)
 	}
 }

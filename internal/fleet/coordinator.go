@@ -290,20 +290,6 @@ func (c *Coordinator) anyAvailable() bool {
 	return false
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
-	w.Write(append(body, '\n'))
-}
-
-// retryAfterSeconds mirrors the workers' back-pressure hint on capacity
-// sheds (sweep limit reached, or a worker is ready right now and the
-// failure was transient). Breaker-driven refusals derive a sharper hint
-// from the actual half-open deadlines instead — see retryAfter.
-const retryAfterSeconds = "2"
-
 // retryAfter derives the Retry-After hint for a breaker-driven refusal:
 // the earliest moment any worker's breaker re-admits traffic (its half-open
 // deadline), rounded up to whole seconds and floored at 1 so the hint never
@@ -315,7 +301,7 @@ func (c *Coordinator) retryAfter() string {
 	for _, wk := range c.workers {
 		at := wk.breaker.ReadyAt()
 		if at.IsZero() {
-			return retryAfterSeconds
+			return serve.DefaultRetryAfter
 		}
 		if earliest.IsZero() || at.Before(earliest) {
 			earliest = at
@@ -440,15 +426,15 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !c.anyAvailable() {
 		c.shed.Add(1)
 		w.Header().Set("Retry-After", c.retryAfter())
-		httpError(w, http.StatusServiceUnavailable, "no fleet worker is available")
+		serve.HTTPError(w, http.StatusServiceUnavailable, "no fleet worker is available")
 		return
 	}
 	select {
 	case c.sweepSem <- struct{}{}:
 	default:
 		c.shed.Add(1)
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		httpError(w, http.StatusServiceUnavailable, "coordinator at its %d-sweep limit", c.opts.MaxSweeps)
+		w.Header().Set("Retry-After", serve.DefaultRetryAfter)
+		serve.HTTPError(w, http.StatusServiceUnavailable, "coordinator at its %d-sweep limit", c.opts.MaxSweeps)
 		return
 	}
 	defer func() { <-c.sweepSem }()
@@ -758,7 +744,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	c.runs.Add(1)
 	body, err := json.Marshal(cfg)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		serve.HTTPError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	relay := func(wk *worker, status int, hdr http.Header, respBody []byte) {
@@ -824,7 +810,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	c.shed.Add(1)
 	w.Header().Set("Retry-After", c.retryAfter())
-	httpError(w, http.StatusServiceUnavailable, "cell failed after %d attempts: %v", c.opts.MaxAttempts, lastErr)
+	serve.HTTPError(w, http.StatusServiceUnavailable, "cell failed after %d attempts: %v", c.opts.MaxAttempts, lastErr)
 }
 
 // forwardRun POSTs one cell to a worker under the cell deadline, stamping
@@ -881,7 +867,7 @@ func (c *Coordinator) proxyDiscovery(w http.ResponseWriter, r *http.Request) {
 		w.Write(body)
 		return
 	}
-	httpError(w, http.StatusBadGateway, "no fleet worker answered %s", r.URL.Path)
+	serve.HTTPError(w, http.StatusBadGateway, "no fleet worker answered %s", r.URL.Path)
 }
 
 // handleHealthz is the coordinator's liveness probe: 200 while the process

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sync"
 )
 
 // Variant selects the iterated map.
@@ -120,23 +119,6 @@ func (p *Params) EscapeCounts() []int {
 		out[i] = p.Escape(i)
 	}
 	return out
-}
-
-var escapeCache sync.Map // Params -> []int
-
-// EscapeCountsCached returns the grid's escape counts from a process-wide
-// memo keyed by the (comparable) Params: sweep drivers derive cost profiles
-// from the same grids over and over, and the counts are immutable. Callers
-// must not modify the returned slice.
-func (p Params) EscapeCountsCached() []int {
-	if v, ok := escapeCache.Load(p); ok {
-		return v.([]int)
-	}
-	counts := p.EscapeCounts()
-	if v, loaded := escapeCache.LoadOrStore(p, counts); loaded {
-		return v.([]int)
-	}
-	return counts
 }
 
 // Render produces an 8-bit grayscale image (log-scaled escape counts,

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/sim"
 )
 
@@ -124,30 +125,21 @@ type streamKey struct {
 	duration sim.Time
 }
 
-var streamCache sync.Map // streamKey -> *sharedStream
-
 // streamCacheMax bounds the process-wide stream memo. Sweeps replay a few
 // scenarios (one key per node each), but a daemon sees client-controlled
 // seeds; beyond the bound new keys get private streams — identical
 // interval sequences (pure functions of the key), just unshared.
 const streamCacheMax = 1 << 14
 
-var streamCacheLen atomic.Int64
+var streamCache = memo.New[streamKey](streamCacheMax, func(*sharedStream) int64 { return 1 })
 
 func sharedStreamFor(key streamKey) *sharedStream {
-	if v, ok := streamCache.Load(key); ok {
-		return v.(*sharedStream)
-	}
-	s := &sharedStream{rng: rand.New(rand.NewSource(nodeSeed(key.seed, key.node)))}
-	empty := []interval(nil)
-	s.ivs.Store(&empty)
-	if streamCacheLen.Load() >= streamCacheMax {
-		return s // memo full: private stream (see streamCacheMax)
-	}
-	if v, loaded := streamCache.LoadOrStore(key, s); loaded {
-		return v.(*sharedStream)
-	}
-	streamCacheLen.Add(1)
+	s, _ := streamCache.Get(key, func() (*sharedStream, error) {
+		s := &sharedStream{rng: rand.New(rand.NewSource(nodeSeed(key.seed, key.node)))}
+		empty := []interval(nil)
+		s.ivs.Store(&empty)
+		return s, nil
+	})
 	return s
 }
 

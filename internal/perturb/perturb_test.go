@@ -2,8 +2,10 @@ package perturb
 
 import (
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/memo"
 	"repro/internal/sim"
 )
 
@@ -100,6 +102,64 @@ func TestSlowdownsDeterministicPerNode(t *testing.T) {
 	// Distinct nodes see distinct streams.
 	if i0, i1 := a.Intervals(0), a.Intervals(1); len(i0) > 0 && len(i1) > 0 && i0[0] == i1[0] {
 		t.Error("nodes 0 and 1 drew identical first intervals; per-node seeds not decorrelated")
+	}
+}
+
+// TestSlowdownStreamsBounded swaps in a two-entry stream memo, built as the
+// process-wide one is, and queries eight four-node models from concurrent
+// goroutines (run under -race in CI): the memo holds at most two streams,
+// so at most two nodes share one stream across every model and the rest
+// get private streams, and every node's windows equal those of a model
+// whose streams are all retained.
+func TestSlowdownStreamsBounded(t *testing.T) {
+	cfg := Config{SlowdownRate: 40, SlowdownFactor: 3, SlowdownDuration: 5e-3, Seed: 29}
+	const nodes, horizon = 4, 1.0
+	ref := MustNew(cfg, nodes)
+	for node := 0; node < nodes; node++ {
+		ref.Factor(node, horizon)
+	}
+	saved := streamCache
+	defer func() { streamCache = saved }()
+	streamCache = memo.New[streamKey](2, func(*sharedStream) int64 { return 1 })
+
+	models := make([]*Model, 8)
+	var wg sync.WaitGroup
+	for g := range models {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := MustNew(cfg, nodes)
+			for i := 0; i < 200; i++ {
+				m.Factor((g+i)%nodes, sim.Time(float64(i)*horizon/200))
+			}
+			models[g] = m
+		}()
+	}
+	wg.Wait()
+	if used := streamCache.Used(); used > 2 {
+		t.Errorf("stream memo holds %d streams, bound 2", used)
+	}
+	shared := 0
+	for node := 0; node < nodes; node++ {
+		same := true
+		for _, m := range models {
+			same = same && m.streams[node] == models[0].streams[node]
+			got, want := m.Intervals(node), ref.Intervals(node)
+			if len(got) == 0 || len(got) > len(want) {
+				t.Fatalf("node %d: %d windows, reference %d", node, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("node %d window %d: %v, reference %v", node, i, got[i], want[i])
+				}
+			}
+		}
+		if same {
+			shared++
+		}
+	}
+	if shared > 2 {
+		t.Errorf("%d nodes share one stream across every model, bound 2", shared)
 	}
 }
 

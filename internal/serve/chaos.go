@@ -151,7 +151,7 @@ func (h *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// apply, letting a client express "pass" with after=1).
 		override, err := parseChaosSpec(hdr)
 		if err != nil {
-			httpError(w, http.StatusBadRequest, "invalid X-Chaos header: %v", err)
+			HTTPError(w, http.StatusBadRequest, "invalid X-Chaos header: %v", err)
 			return
 		}
 		rule = override
@@ -165,7 +165,7 @@ func (h *chaosHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(rule.delay)
 		h.next.ServeHTTP(w, r)
 	case "error":
-		httpError(w, rule.code, "chaos: injected %d", rule.code)
+		HTTPError(w, rule.code, "chaos: injected %d", rule.code)
 	case "drop":
 		// ErrAbortHandler makes net/http sever the connection without a
 		// response: the client sees a transport error, exactly like a

@@ -416,7 +416,7 @@ func TestDeadlineExpiredSweepResolvesInBand(t *testing.T) {
 		}
 		var want []byte
 		for i, c := range cells {
-			want = append(want, errorLine(i, c.Hash(), deadlineExceededMsg)...)
+			want = append(want, ErrorCellLine(i, c.Hash(), deadlineExceededMsg)...)
 			want = append(want, '\n')
 		}
 		if !bytes.Equal(got, want) {

@@ -34,7 +34,7 @@ type readResult struct {
 func referenceRead(o Options, body []byte, sweep bool) readResult {
 	rec := httptest.NewRecorder()
 	fail := func(format string, args ...any) readResult {
-		httpError(rec, http.StatusBadRequest, format, args...)
+		HTTPError(rec, http.StatusBadRequest, format, args...)
 		return readResult{status: rec.Code, body: rec.Body.String()}
 	}
 	o = o.withDefaults()

@@ -719,12 +719,12 @@ func (m *Manager) runCell(task cellTask) {
 	// message, so fleet workers and a single daemon emit identical bytes.
 	if !task.job.deadline.IsZero() && !time.Now().Before(task.job.deadline) {
 		m.cellsExpired.Add(1)
-		task.job.complete(task.idx, errorLine(task.idx, hash, deadlineExceededMsg), true, castore.Computed)
+		task.job.complete(task.idx, ErrorCellLine(task.idx, hash, deadlineExceededMsg), true, castore.Computed)
 		return
 	}
 	if err := task.job.ctx.Err(); err != nil {
 		m.cellsCanceled.Add(1)
-		task.job.complete(task.idx, errorLine(task.idx, hash, "canceled: "+err.Error()), true, castore.Computed)
+		task.job.complete(task.idx, ErrorCellLine(task.idx, hash, "canceled: "+err.Error()), true, castore.Computed)
 		return
 	}
 	body, outcome, err := m.store.Do(task.job.ctx, hash, func(ctx context.Context) ([]byte, error) {
@@ -740,7 +740,7 @@ func (m *Manager) runCell(task cellTask) {
 			// above, so where in the pipeline the deadline fired does not
 			// change the bytes the client reads.
 			m.cellsExpired.Add(1)
-			task.job.complete(task.idx, errorLine(task.idx, hash, deadlineExceededMsg), true, outcome)
+			task.job.complete(task.idx, ErrorCellLine(task.idx, hash, deadlineExceededMsg), true, outcome)
 			return
 		}
 		if task.job.ctx.Err() != nil {
@@ -750,7 +750,7 @@ func (m *Manager) runCell(task cellTask) {
 			// failure; report it in-band so the stream stays well-formed.
 			m.cellErrors.Add(1)
 		}
-		task.job.complete(task.idx, errorLine(task.idx, hash, err.Error()), true, outcome)
+		task.job.complete(task.idx, ErrorCellLine(task.idx, hash, err.Error()), true, outcome)
 		return
 	}
 	switch outcome {
@@ -761,7 +761,7 @@ func (m *Manager) runCell(task cellTask) {
 	default: // HitMem, HitDisk, HitPeer
 		m.cellsCached.Add(1)
 	}
-	task.job.complete(task.idx, cellLine(task.idx, hash, body), false, outcome)
+	task.job.complete(task.idx, CellLine(task.idx, hash, body), false, outcome)
 }
 
 // lineRoom is the room a cell line needs beyond its hash and payload: the
@@ -781,39 +781,27 @@ func appendLineHead(dst []byte, idx int, hash, field string) []byte {
 	return append(dst, `":`...)
 }
 
-// cellLine composes the per-cell NDJSON line around the cached summary
+// CellLine composes the per-cell NDJSON line around the cached summary
 // bytes, in one buffer sized up front. Index and hash are deterministic,
 // so the line is a pure function of the cell config. The fleet
 // coordinator (internal/fleet) rebuilds exactly these bytes around
 // worker-streamed summaries, which is what makes a merged fleet response
 // byte-identical to a single daemon's.
-func cellLine(idx int, hash string, summaryJSON []byte) []byte {
+func CellLine(idx int, hash string, summaryJSON []byte) []byte {
 	line := make([]byte, 0, lineRoom+len(hash)+len(summaryJSON))
 	line = appendLineHead(line, idx, hash, "summary")
 	line = append(line, summaryJSON...)
 	return append(line, '}')
 }
 
-// CellLine exposes the frozen NDJSON cell-line layout to the fleet
-// coordinator; see cellLine.
-func CellLine(idx int, hash string, summaryJSON []byte) []byte {
-	return cellLine(idx, hash, summaryJSON)
-}
-
-// errorLine composes the per-cell NDJSON error line — the failure
-// counterpart of cellLine, same frozen layout discipline, the message
+// ErrorCellLine composes the per-cell NDJSON error line — the failure
+// counterpart of CellLine, same frozen layout discipline, the message
 // quoted like fmt's %q.
-func errorLine(idx int, hash, msg string) []byte {
+func ErrorCellLine(idx int, hash, msg string) []byte {
 	line := make([]byte, 0, lineRoom+len(hash)+len(msg))
 	line = appendLineHead(line, idx, hash, "error")
 	line = strconv.AppendQuote(line, msg)
 	return append(line, '}')
-}
-
-// ErrorCellLine exposes the frozen NDJSON error-line layout to the fleet
-// coordinator; see errorLine.
-func ErrorCellLine(idx int, hash, msg string) []byte {
-	return errorLine(idx, hash, msg)
 }
 
 // Drain stops accepting jobs, waits for every accepted cell to finish (or

@@ -282,8 +282,9 @@ func marshalSummary(sum hdls.Summary) []byte {
 	return buf
 }
 
-// httpError writes a JSON error body with the given status.
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+// HTTPError writes a JSON error body with the given status. The fleet
+// coordinator answers its own errors with it too.
+func HTTPError(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	body, _ := json.Marshal(map[string]string{"error": fmt.Sprintf(format, args...)})
@@ -360,7 +361,7 @@ var errTrailingData = errors.New("unexpected data after the JSON value")
 // over the same bytes, which alone words the 400s.
 func (o Options) ReadRequest(w http.ResponseWriter, r *http.Request, sweep bool) (cells []hdls.Config, deadline time.Time, ok bool) {
 	fail := func(format string, args ...any) ([]hdls.Config, time.Time, bool) {
-		httpError(w, http.StatusBadRequest, format, args...)
+		HTTPError(w, http.StatusBadRequest, format, args...)
 		return nil, time.Time{}, false
 	}
 	o = o.withDefaults()
@@ -483,11 +484,13 @@ func plainPrefix(b []byte, tokens ...string) ([]byte, bool) {
 // skipSpace drops JSON whitespace from the front of b.
 func skipSpace(b []byte) []byte { return bytes.TrimLeft(b, " \t\r\n") }
 
-// retryAfterSeconds is the back-pressure hint on drain/saturation 503s:
-// shed requests tell clients when to come back instead of letting them
-// hammer a saturated daemon. Admission-control 429s carry a live hint
-// derived from observed throughput instead (Manager.RetryAfterSeconds).
-const retryAfterSeconds = "2"
+// DefaultRetryAfter is the back-pressure hint, in seconds, on
+// drain/saturation 503s: shed requests tell clients when to come back
+// instead of letting them hammer a saturated daemon. Admission-control
+// 429s carry a live hint derived from observed throughput instead
+// (Manager.RetryAfterSeconds). The fleet coordinator sends the same hint
+// on its capacity sheds.
+const DefaultRetryAfter = "2"
 
 // ClientKey returns a request's admission key: the X-Client header when
 // present (the fleet coordinator forwards its caller's identity so the
@@ -542,10 +545,10 @@ func (s *Server) submitOrFail(ctx context.Context, w http.ResponseWriter, cells 
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) || errors.Is(err, ErrClientBusy) {
 			w.Header().Set("Retry-After", strconv.Itoa(s.manager.RetryAfterSeconds()))
-			httpError(w, http.StatusTooManyRequests, "%v", err)
+			HTTPError(w, http.StatusTooManyRequests, "%v", err)
 		} else {
-			w.Header().Set("Retry-After", retryAfterSeconds)
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
+			w.Header().Set("Retry-After", DefaultRetryAfter)
+			HTTPError(w, http.StatusServiceUnavailable, "%v", err)
 		}
 		return nil
 	}
@@ -585,7 +588,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	line, err := job.WaitCell(r.Context(), 0)
 	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, "canceled: %v", err)
+		HTTPError(w, http.StatusServiceUnavailable, "canceled: %v", err)
 		return
 	}
 	// Slice the summary back out of the frozen cell line instead of
@@ -617,12 +620,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCacheLookup(w http.ResponseWriter, r *http.Request) {
 	hash := r.PathValue("hash")
 	if len(hash) != 64 {
-		httpError(w, http.StatusBadRequest, "malformed config hash %q", hash)
+		HTTPError(w, http.StatusBadRequest, "malformed config hash %q", hash)
 		return
 	}
 	body, tier, ok := s.store.LookupLocal(hash)
 	if !ok {
-		httpError(w, http.StatusNotFound, "hash %s not cached", hash)
+		HTTPError(w, http.StatusNotFound, "hash %s not cached", hash)
 		return
 	}
 	label := "hit"
@@ -724,7 +727,7 @@ func wantStream(r *http.Request) bool {
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	job, ok := s.manager.Job(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		HTTPError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	completed, failed := job.Progress()
@@ -752,7 +755,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 	job, release, ok := s.manager.Acquire(r.PathValue("id"))
 	if !ok {
-		httpError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
+		HTTPError(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
 	defer release()
@@ -897,7 +900,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if code != http.StatusOK {
-		w.Header().Set("Retry-After", retryAfterSeconds)
+		w.Header().Set("Retry-After", DefaultRetryAfter)
 		w.WriteHeader(code)
 	}
 	fmt.Fprintf(w, "{\"status\":%q,\"draining\":%t,\"queue_depth\":%d,\"queue_capacity\":%d,\"workers\":%d,\"active_jobs\":%d}\n",

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math"
 	"math/rand"
-	"sync"
 )
 
 // Vec3 is a 3D vector.
@@ -301,34 +300,6 @@ func CandidateCounts(points []Vec3, radius float64) []int {
 		out[i] = total
 	}
 	return out
-}
-
-// torusCountsKey identifies one TorusCandidateCounts computation.
-type torusCountsKey struct {
-	n        int
-	major, r float64
-	noise    float64
-	seed     int64
-	radius   float64
-}
-
-var torusCountsCache sync.Map // torusCountsKey -> []int
-
-// TorusCandidateCounts returns CandidateCounts over a Torus cloud from a
-// process-wide memo: the PSIA cost profile is derived from the same cloud
-// in every sweep cell, and both the cloud and its counts are pure functions
-// of the parameters. Callers must not modify the returned slice.
-func TorusCandidateCounts(n int, major, r, noise float64, seed int64, radius float64) []int {
-	key := torusCountsKey{n: n, major: major, r: r, noise: noise, seed: seed, radius: radius}
-	if v, ok := torusCountsCache.Load(key); ok {
-		return v.([]int)
-	}
-	cloud := Torus(n, major, r, noise, seed)
-	counts := CandidateCounts(cloud.Points, radius)
-	if v, loaded := torusCountsCache.LoadOrStore(key, counts); loaded {
-		return v.([]int)
-	}
-	return counts
 }
 
 // grid is a uniform spatial hash over the cloud's bounding box.

@@ -3,9 +3,12 @@ package workload
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/memo"
 )
 
 // TestParseSpecMemoized asserts the memo returns the identical immutable
@@ -91,77 +94,82 @@ func sameCosts(a, b *Profile) bool {
 	return true
 }
 
-// TestParseSpecMemoBudget bursts fresh-seed specs, together far past the
-// budget, from concurrent goroutines through a small memo of the type
-// ParseSpec uses: the retained iteration total never exceeds the budget,
-// specs past it are still served, unretained, and every profile has the
-// costs of an unmemoized parse. A second burst resolves the same specs
-// from every goroutine at once: claims that lose the store to another
-// goroutine must be given back.
+// TestParseSpecMemoBudget swaps a small memo of the kind ParseSpec uses
+// in for the process-wide one: kernel profiles count against the same
+// budget as specs, a kernel spec spelling counts again under its spec key,
+// the retained iterations never exceed the budget, and past it every
+// profile is built per call, bit-identical to the retained one. The memo's
+// own accounting under concurrent bursts is internal/memo's TestMemoBudget.
 func TestParseSpecMemoBudget(t *testing.T) {
-	const n, seeds = 4096, 16
-	spec := fmt.Sprintf("uniform:n=%d", n)
-	got := make([]*Profile, seeds)
-	burst := func(m *specMemo, shared bool) {
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for seed := 0; seed < seeds; seed++ {
-					if !shared && seed%4 != g {
-						continue
-					}
-					p, err := m.parse(spec, int64(seed))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if !shared {
-						got[seed] = p
-					}
-				}
-			}()
-		}
-		wg.Wait()
+	retainedPSIA := PSIAProfile(256)
+	saved := profiles
+	defer func() { profiles = saved }()
+	const kernelN = 1024 * (1024 / 64) // MandelbrotProfile(64)
+	profiles = memo.New[profileKey](2*kernelN+kernelN/2, profileCost)
+
+	kernel := MandelbrotProfile(64)
+	if got := profiles.Used(); got != kernelN {
+		t.Fatalf("after MandelbrotProfile(64): %d iterations retained, want %d", got, kernelN)
 	}
-	retained := func(m *specMemo) (entries int, iters int64) {
-		m.profiles.Range(func(_, v any) bool {
-			entries++
-			iters += int64(v.(*Profile).N())
-			return true
-		})
-		return entries, iters
+	spelled, err := ParseSpec("mandelbrot:scale=64", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spelled != kernel || profiles.Used() != 2*kernelN {
+		t.Fatalf("kernel spec: same profile = %v, %d iterations retained; want the kernel's profile counted again (%d)",
+			spelled == kernel, profiles.Used(), 2*kernelN)
 	}
 
-	m := &specMemo{budget: 5*n + n/2}
-	burst(m, false)
-	entries, iters := retained(m)
-	if iters > m.budget || iters != m.iters.Load() {
-		t.Fatalf("memo retains %d iterations (counter %d), budget %d", iters, m.iters.Load(), m.budget)
+	// Half a kernel of budget is left: PSIAProfile(256) and a spec of
+	// kernelN iterations no longer fit, a small spec still does.
+	a, b := PSIAProfile(256), PSIAProfile(256)
+	if a == b || a == retainedPSIA || !sameCosts(a, retainedPSIA) || !sameCosts(b, retainedPSIA) {
+		t.Errorf("PSIAProfile(256) past the budget: retained = %v, bit-identical to the retained profile = %v",
+			a == b, sameCosts(a, retainedPSIA) && sameCosts(b, retainedPSIA))
 	}
-	if entries != 5 {
-		t.Errorf("memo retained %d profiles, want the 5 that fit the budget", entries)
+	spec := fmt.Sprintf("constant:n=%d", kernelN)
+	c, _ := ParseSpec(spec, 1)
+	d, _ := ParseSpec(spec, 2)
+	u, _ := parseSpec(spec, 1)
+	if c == d || !sameCosts(c, u) || !sameCosts(d, u) {
+		t.Errorf("%s past the budget: retained = %v, costs of an unmemoized parse = %v", spec, c == d, sameCosts(c, u) && sameCosts(d, u))
 	}
-	for seed, p := range got {
-		u, err := parseSpec(spec, int64(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p == nil || !sameCosts(p, u) {
-			t.Fatalf("seed %d: memo served costs that differ from an unmemoized parse", seed)
-		}
-		again, _ := m.parse(spec, int64(seed))
-		_, kept := m.profiles.Load(specKey{spec: spec, seed: int64(seed)})
-		if (again == p) != kept {
-			t.Errorf("seed %d: repeat returned the same profile = %v, retained = %v", seed, again == p, kept)
-		}
+	small, _ := ParseSpec("constant:n=64", 1)
+	if again, _ := ParseSpec("constant:n=64", 2); again != small {
+		t.Error("constant:n=64 fits the budget but was not retained")
 	}
+	if used := profiles.Used(); used != 2*kernelN+64 {
+		t.Errorf("%d iterations retained, want %d", used, 2*kernelN+64)
+	}
+}
 
-	m = &specMemo{budget: 1 << 20}
-	burst(m, true)
-	if entries, iters := retained(m); entries != seeds || iters != m.iters.Load() {
-		t.Errorf("after a shared burst: %d profiles of %d iterations retained, counter %d", entries, iters, m.iters.Load())
+// TestProfileMemoryBounded builds the PSIA profile at scales 1–8, 11.4 M
+// iterations together, through a fresh memo built as the process-wide one
+// is (so the tests after it still find room): the live heap it adds must
+// stay under the budget (16 bytes per iteration, 128 MiB) plus a 16 MiB
+// slack. Without a bound the profiles and their candidate counts keep 24
+// bytes per iteration, 261 MiB.
+func TestProfileMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 11.4 M iterations of PSIA profiles")
+	}
+	saved := profiles
+	defer func() { profiles = saved }()
+	profiles = memo.New[profileKey](profileBudget, profileCost)
+	liveHeap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := liveHeap()
+	for scale := 1; scale <= 8; scale++ {
+		PSIAProfile(scale)
+	}
+	const budgetBytes, slack = 16 * profileBudget, 16 << 20
+	if added := liveHeap() - before; added > budgetBytes+slack {
+		t.Errorf("building PSIA scales 1–8 added %d MiB of live heap, want at most %d MiB (budget %d MiB + %d MiB slack)",
+			added>>20, (budgetBytes+slack)>>20, budgetBytes>>20, slack>>20)
 	}
 }
 
@@ -216,8 +224,8 @@ func TestParseSpecConcurrentByteIdentical(t *testing.T) {
 }
 
 // TestKernelProfileCachesShareBackingData pins the process-wide kernel
-// memos: repeated profile construction must not recompute the escape
-// counts / candidate counts.
+// memo: a repeated kernel and scale returns the retained profile instead
+// of recomputing the escape counts or candidate counts.
 func TestKernelProfileCachesShareBackingData(t *testing.T) {
 	if MandelbrotProfile(64) != MandelbrotProfile(64) {
 		t.Error("MandelbrotProfile not memoized")

@@ -2,10 +2,11 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/memo"
 )
 
 // ParseSpec builds a workload from a compact scenario string of the form
@@ -16,91 +17,63 @@ import (
 // Kinds and their keys (all costs in seconds; seed comes from the caller):
 //
 //	constant     n, mean
-//	uniform      n, lo, hi            (default lo=mean/2, hi=3·mean/2)
-//	gaussian     n, mean, sigma | cv  (default cv=0.3)
+//	uniform      n, mean, lo, hi         (default lo=mean/2, hi=3·mean/2)
+//	gaussian     n, mean, sigma | cv     (default cv=0.3)
 //	exponential  n, mean
-//	gamma        n, shape, scale      (default shape=0.5, scale=mean/shape)
-//	bimodal      n, lo, hi, frac      (cold mean lo, hot mean hi; default
-//	                                   lo=mean/2, hi=4·mean, frac=0.2)
-//	increasing   n, lo, hi            (linear ramp lo → hi)
-//	decreasing   n, lo, hi            (linear ramp hi → lo)
-//	mandelbrot   scale                (the paper kernel at 1/scale size)
+//	gamma        n, mean, shape, scale   (default shape=0.5, scale=mean/shape)
+//	bimodal      n, mean, lo, hi, frac   (cold mean lo, hot mean hi; default
+//	                                      lo=mean/2, hi=4·mean, frac=0.2)
+//	increasing   n, mean, lo, hi         (linear ramp lo → hi; default
+//	                                      lo=mean/5, hi=9·mean/5)
+//	decreasing   n, mean, lo, hi         (linear ramp hi → lo, same defaults)
+//	mandelbrot   scale                   (the paper kernel at 1/scale size)
 //	psia         scale
 //
-// Shared defaults: n=4096, mean=100e-6, scale=8.
+// Shared defaults: n=4096, mean=100e-6, scale=8. SpecKinds lists the same
+// keys, and any other key is an error.
 //
 // Successful parses are memoized process-wide: profiles are immutable,
 // and sweep drivers resolve the same spec in every cell. The memo key is
 // the spec alone for kinds that never read the seed (constant, increasing,
 // decreasing, mandelbrot and psia), so cells differing only in seed share
 // one profile and its cached CoV; the random kinds key by (spec, seed).
-// The memo retains at most specCacheBudget iterations and serves
-// unretained profiles beyond it.
+// The memo, shared with MandelbrotProfile and PSIAProfile, retains at most
+// profileBudget iterations. Past the budget ParseSpec builds the profile
+// on every call and serves it unretained: the same costs, rebuilt.
 func ParseSpec(spec string, seed int64) (*Profile, error) {
-	return specCache.parse(spec, seed)
+	key := profileKey{spec: spec}
+	if readsSeed(specKind(spec)) {
+		key.seed = seed
+	}
+	return profiles.Get(key, func() (*Profile, error) { return parseSpec(spec, seed) })
 }
 
-// specKey identifies one ParseSpec construction. The seed participates
-// only for kinds that read it (see readsSeed); seed-free kinds key by the
-// spec alone, so fresh-seed cells share one profile and its cached CoV.
-type specKey struct {
+// profileKey identifies one memoized profile: a ParseSpec spec, with the
+// seed only for kinds that read it (see readsSeed), or a paper kernel's
+// name with its scale in place of the seed. The two never meet: a spec of
+// a kernel kind keys no seed, and a kernel's scale is at least 1. It is a
+// comparable struct, not a formatted string, so a memo hit allocates
+// nothing.
+type profileKey struct {
 	spec string
 	seed int64
 }
 
-// specCacheBudget bounds the memo by the iterations its profiles hold:
-// each iteration costs 16 bytes (cost plus prefix sum), so 1<<23 pins at
-// most 128 MiB. CLI sweeps resolve a handful of distinct specs, but a
-// long-running daemon sees client-controlled keys, and one fresh-seed
-// spec at the service's largest n holds 64 MiB. Past the budget ParseSpec
-// still works, it just stops retaining (profiles are pure functions of the
-// key, so skipping the memo changes nothing but speed).
-const specCacheBudget = 1 << 23
+// profileBudget bounds the profile memo by the iterations its profiles
+// hold: each iteration costs 16 bytes (cost plus prefix sum), so 1<<23
+// pins at most 128 MiB. CLI sweeps resolve a handful of distinct specs,
+// but a long-running daemon sees client-controlled keys, and one
+// fresh-seed spec at the service's largest n holds 64 MiB. A kernel spec
+// such as "mandelbrot:scale=8" is retained under its spec key as well as
+// under the kernel's, so it may count twice: the memo overcounts memory,
+// never undercounts it.
+const profileBudget = 1 << 23
 
-// specMemo is the ParseSpec memo: profiles keyed by specKey, retained
-// while their iteration total stays within budget.
-type specMemo struct {
-	profiles sync.Map // specKey -> *Profile
-	iters    atomic.Int64
-	budget   int64
-}
+// profiles memoizes ParseSpec and the paper kernels under profileBudget.
+var profiles = memo.New[profileKey](profileBudget, profileCost)
 
-var specCache = specMemo{budget: specCacheBudget}
-
-// parse resolves spec through the memo.
-func (m *specMemo) parse(spec string, seed int64) (*Profile, error) {
-	key := specKey{spec: spec}
-	if readsSeed(specKind(spec)) {
-		key.seed = seed
-	}
-	if v, ok := m.profiles.Load(key); ok {
-		return v.(*Profile), nil
-	}
-	p, err := parseSpec(spec, seed)
-	if err != nil {
-		return nil, err
-	}
-	if !m.reserve(int64(p.N())) {
-		return p, nil // over budget: serve unretained (see specCacheBudget)
-	}
-	if v, loaded := m.profiles.LoadOrStore(key, p); loaded {
-		m.iters.Add(-int64(p.N()))
-		return v.(*Profile), nil
-	}
-	return p, nil
-}
-
-// reserve claims n iterations of the budget, or reports that they do not
-// fit. Claiming before storing keeps concurrent misses from overshooting;
-// a claim that does not fit is given back, and a miss that sees one in
-// flight merely serves its profile unretained.
-func (m *specMemo) reserve(n int64) bool {
-	if m.iters.Add(n) <= m.budget {
-		return true
-	}
-	m.iters.Add(-n)
-	return false
-}
+// profileCost is a profile's cost to the memo: its iteration count.
+func profileCost(p *Profile) int64 { return int64(p.N()) }
 
 // readsSeed reports whether a spec kind draws its costs from the seed.
 // It is the one place that decides: parseSpec hands seed-free kinds a
@@ -212,21 +185,6 @@ func parseSpec(spec string, seed int64) (*Profile, error) {
 	if !readsSeed(kind) {
 		seed = 0 // seed-free kinds are pure functions of the spec
 	}
-	known := func(keys ...string) error {
-		for k := range kv {
-			ok := false
-			for _, want := range keys {
-				if k == want {
-					ok = true
-				}
-			}
-			if !ok {
-				return fmt.Errorf("workload: spec %q: unknown parameter %q (valid: %s)",
-					spec, k, strings.Join(keys, ", "))
-			}
-		}
-		return nil
-	}
 	get := func(key string, def float64) float64 {
 		if v, ok := kv[key]; ok {
 			return v
@@ -241,49 +199,46 @@ func parseSpec(spec string, seed int64) (*Profile, error) {
 	if mean <= 0 {
 		return nil, fmt.Errorf("workload: spec %q: mean = %g, must be positive", spec, mean)
 	}
+	var params []string
+	for _, k := range SpecKinds() {
+		if k.Name == kind || slices.Contains(k.Aliases, kind) {
+			params = k.Params
+		}
+	}
+	if params == nil {
+		return nil, fmt.Errorf("workload: unknown kind %q (constant, uniform, gaussian, exponential, gamma, bimodal, increasing, decreasing, mandelbrot, psia)", kind)
+	}
+	for key := range kv {
+		if !slices.Contains(params, key) {
+			return nil, fmt.Errorf("workload: spec %q: unknown parameter %q (valid: %s)",
+				spec, key, strings.Join(params, ", "))
+		}
+	}
 
 	switch kind {
 	case "constant":
-		if err := known("n", "mean"); err != nil {
-			return nil, err
-		}
 		return Constant(n, mean), nil
 	case "uniform":
-		if err := known("n", "mean", "lo", "hi"); err != nil {
-			return nil, err
-		}
 		lo, hi := get("lo", mean/2), get("hi", 1.5*mean)
 		if lo <= 0 || hi <= lo {
 			return nil, fmt.Errorf("workload: spec %q: need 0 < lo < hi (got lo=%g hi=%g)", spec, lo, hi)
 		}
 		return Uniform(n, lo, hi, seed), nil
 	case "gaussian", "normal":
-		if err := known("n", "mean", "sigma", "cv"); err != nil {
-			return nil, err
-		}
 		sigma := get("sigma", get("cv", 0.3)*mean)
 		if sigma < 0 {
 			return nil, fmt.Errorf("workload: spec %q: sigma = %g, must be non-negative", spec, sigma)
 		}
 		return Gaussian(n, mean, sigma, seed), nil
 	case "exponential", "exp":
-		if err := known("n", "mean"); err != nil {
-			return nil, err
-		}
 		return Exponential(n, mean, seed), nil
 	case "gamma":
-		if err := known("n", "mean", "shape", "scale"); err != nil {
-			return nil, err
-		}
 		shape := get("shape", 0.5)
 		if shape <= 0 {
 			return nil, fmt.Errorf("workload: spec %q: shape = %g, must be positive", spec, shape)
 		}
 		return Gamma(n, shape, get("scale", mean/shape), seed), nil
 	case "bimodal":
-		if err := known("n", "mean", "lo", "hi", "frac"); err != nil {
-			return nil, err
-		}
 		lo, hi, frac := get("lo", mean/2), get("hi", 4*mean), get("frac", 0.2)
 		if lo <= 0 || hi <= lo || frac < 0 || frac > 1 {
 			return nil, fmt.Errorf("workload: spec %q: need 0 < lo < hi and frac in [0,1] (got lo=%g hi=%g frac=%g)",
@@ -291,33 +246,21 @@ func parseSpec(spec string, seed int64) (*Profile, error) {
 		}
 		return Bimodal(n, lo, hi, frac, seed), nil
 	case "increasing":
-		if err := known("n", "mean", "lo", "hi"); err != nil {
-			return nil, err
-		}
 		lo, hi := get("lo", mean/5), get("hi", 9*mean/5)
 		if lo <= 0 || hi <= lo {
 			return nil, fmt.Errorf("workload: spec %q: need 0 < lo < hi (got lo=%g hi=%g)", spec, lo, hi)
 		}
 		return Increasing(n, lo, hi), nil
 	case "decreasing":
-		if err := known("n", "mean", "lo", "hi"); err != nil {
-			return nil, err
-		}
 		lo, hi := get("lo", mean/5), get("hi", 9*mean/5)
 		if lo <= 0 || hi <= lo {
 			return nil, fmt.Errorf("workload: spec %q: need 0 < lo < hi (got lo=%g hi=%g)", spec, lo, hi)
 		}
 		return Decreasing(n, lo, hi), nil
 	case "mandelbrot", "mandel":
-		if err := known("scale"); err != nil {
-			return nil, err
-		}
 		return MandelbrotProfile(int(get("scale", 8))), nil
 	case "psia", "spinimage":
-		if err := known("scale"); err != nil {
-			return nil, err
-		}
 		return PSIAProfile(int(get("scale", 8))), nil
 	}
-	return nil, fmt.Errorf("workload: unknown kind %q (constant, uniform, gaussian, exponential, gamma, bimodal, increasing, decreasing, mandelbrot, psia)", kind)
+	panic("workload: SpecKinds lists kind " + kind + ", which parseSpec does not build")
 }

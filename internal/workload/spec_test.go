@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -121,6 +122,40 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, spec := range bad {
 		if _, err := ParseSpec(spec, 1); err == nil {
 			t.Errorf("ParseSpec accepted %q", spec)
+		}
+	}
+}
+
+// TestParseSpecParamsMatchSpecKinds checks that /v1/workloads advertises
+// exactly the parameters ParseSpec accepts: for every kind and alias, a key
+// SpecKinds lists never yields "unknown parameter", and any other key of
+// any kind always does. n and mean are checked before the key list, so the
+// values must pass those checks: n=16, scale=256 (the paper kernels at
+// test size) and 1e-4 for every other key.
+func TestParseSpecParamsMatchSpecKinds(t *testing.T) {
+	keys := []string{"zzz"}
+	for _, k := range SpecKinds() {
+		for _, key := range k.Params {
+			if !slices.Contains(keys, key) {
+				keys = append(keys, key)
+			}
+		}
+	}
+	value := map[string]string{"n": "16", "scale": "256"}
+	for _, k := range SpecKinds() {
+		for _, name := range append([]string{k.Name}, k.Aliases...) {
+			for _, key := range keys {
+				val, ok := value[key]
+				if !ok {
+					val = "1e-4"
+				}
+				spec := name + ":" + key + "=" + val
+				_, err := ParseSpec(spec, 1)
+				unknown := err != nil && strings.Contains(err.Error(), "unknown parameter")
+				if listed := slices.Contains(k.Params, key); unknown == listed {
+					t.Errorf("ParseSpec(%q): listed in SpecKinds = %v, error = %v", spec, listed, err)
+				}
+			}
 		}
 	}
 }

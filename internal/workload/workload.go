@@ -132,15 +132,18 @@ func FromCounts(name string, counts []int, meanCost, baseFrac float64) *Profile 
 // per-iteration granularity sits where the paper's SS observations are
 // reproducible (see DESIGN.md). Scale divides the row count, preserving the
 // mean cost so every overhead-to-granularity ratio is scale-invariant.
+// Profiles are memoized under ParseSpec's iteration budget; past it every
+// call builds the profile again.
 func MandelbrotProfile(scale int) *Profile {
 	if scale < 1 {
 		scale = 1
 	}
-	return cached(kernelKey{"mandelbrot", scale}, func() *Profile {
-		p := mandelbrot.Default(1024, 1024/scale)
-		return FromCounts(fmt.Sprintf("Mandelbrot-%dx%d", p.Width, p.Height),
-			p.EscapeCountsCached(), 143e-6, 0.05)
+	p, _ := profiles.Get(profileKey{spec: "mandelbrot", seed: int64(scale)}, func() (*Profile, error) {
+		g := mandelbrot.Default(1024, 1024/scale)
+		return FromCounts(fmt.Sprintf("Mandelbrot-%dx%d", g.Width, g.Height),
+			g.EscapeCounts(), 143e-6, 0.05), nil
 	})
+	return p
 }
 
 // PSIAProfile builds the PSIA workload: spin-image generation over a torus
@@ -149,34 +152,19 @@ func MandelbrotProfile(scale int) *Profile {
 // to the candidate count the grid scan examines for that point's image —
 // the real inner-loop trip count. PSIA iterations are *finer* than
 // Mandelbrot's (45 µs vs 143 µs), which is why the paper's §5 finds the SS
-// scheduling overhead "more visible in PSIA than Mandelbrot".
+// scheduling overhead "more visible in PSIA than Mandelbrot". Profiles are
+// memoized as MandelbrotProfile's are.
 func PSIAProfile(scale int) *Profile {
 	if scale < 1 {
 		scale = 1
 	}
-	return cached(kernelKey{"psia", scale}, func() *Profile {
+	p, _ := profiles.Get(profileKey{spec: "psia", seed: int64(scale)}, func() (*Profile, error) {
 		n := (1 << 22) / scale
 		radius := math.Sqrt(674.0 / float64(n)) // targets ≈96 mean candidates
-		counts := spinimage.TorusCandidateCounts(n, 2.0, 0.8, 0.02, 20190322, radius)
-		return FromCounts(fmt.Sprintf("PSIA-%d", n), counts, 45e-6, 0.10)
+		cloud := spinimage.Torus(n, 2.0, 0.8, 0.02, 20190322)
+		counts := spinimage.CandidateCounts(cloud.Points, radius)
+		return FromCounts(fmt.Sprintf("PSIA-%d", n), counts, 45e-6, 0.10), nil
 	})
-}
-
-// kernelKey names one memoized paper-kernel profile. It is a comparable
-// struct, not a formatted string, so a memo hit allocates nothing.
-type kernelKey struct {
-	kernel string
-	scale  int
-}
-
-var profileCache sync.Map // kernelKey -> *Profile
-
-func cached(key kernelKey, build func() *Profile) *Profile {
-	if v, ok := profileCache.Load(key); ok {
-		return v.(*Profile)
-	}
-	p := build()
-	profileCache.Store(key, p)
 	return p
 }
 
