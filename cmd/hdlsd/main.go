@@ -69,7 +69,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "concurrent simulation cells (0 = GOMAXPROCS)")
 		cacheN   = flag.Int("cache", 4096, "result-store memory-tier entries (LRU)")
 		cacheDir = flag.String("cache-dir", "", "result-store disk tier directory (empty disables; restarts are warm)")
-		cacheMax = flag.Int64("cache-disk-max", 256<<20, "disk-tier size cap in bytes (LRU-evicted)")
+		cacheMax = flag.Int64("cache-disk-max", 256<<20, "disk-tier cap on live entry bytes, LRU-evicted; the log stays under twice that plus 4 MiB")
 		cachePrs = flag.String("cache-peers", "", "comma-separated peer base URLs to fill misses from (GET /v1/cache/{hash})")
 		cacheHop = flag.Int("cache-peer-probes", 2, "ring successors probed per miss before simulating")
 		cachePT  = flag.Duration("cache-peer-timeout", 500*time.Millisecond, "per-probe peer-fill deadline")

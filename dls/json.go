@@ -24,10 +24,18 @@ func (t Technique) MarshalJSON() ([]byte, error) {
 // non-strings are decoded by json.Unmarshal first, so every input keeps
 // the same result and error text.
 func (t *Technique) UnmarshalJSON(data []byte) error {
-	v, err := jsonenum.Unmarshal(data, "dls: technique", Parse)
+	v, err := jsonenum.Unmarshal(data, "dls: technique", matchTechnique, Parse)
 	if err != nil {
 		return err
 	}
 	*t = v
 	return nil
+}
+
+// matchTechnique is Parse for a plain ASCII name, read in place.
+func matchTechnique(name []byte) (Technique, bool) {
+	var buf [16]byte
+	key, ok := jsonenum.Fold(buf[:], name, "-", true)
+	t, found := techniqueByKey[string(key)]
+	return t, ok && found
 }

@@ -124,13 +124,21 @@ func (a App) String() string {
 
 // ParseApp maps an application name to its App value.
 func ParseApp(s string) (App, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "mandelbrot", "mandel":
-		return Mandelbrot, nil
-	case "psia", "spinimage", "spin-image":
-		return PSIA, nil
+	if a, ok := appByKey(strings.ToLower(strings.TrimSpace(s))); ok {
+		return a, nil
 	}
 	return 0, fmt.Errorf("hdls: unknown application %q", s)
+}
+
+// appByKey maps a trimmed, lower-cased application name to its App value.
+func appByKey(key string) (App, bool) {
+	switch key {
+	case "mandelbrot", "mandel":
+		return Mandelbrot, true
+	case "psia", "spinimage", "spin-image":
+		return PSIA, true
+	}
+	return 0, false
 }
 
 // Config describes one experiment. Zero values select the paper defaults:

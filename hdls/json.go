@@ -38,12 +38,22 @@ func (a App) MarshalJSON() ([]byte, error) {
 // null and non-strings are decoded by json.Unmarshal first, so every input
 // keeps the same result and error text.
 func (a *App) UnmarshalJSON(data []byte) error {
-	v, err := jsonenum.Unmarshal(data, "hdls: app", ParseApp)
+	v, err := jsonenum.Unmarshal(data, "hdls: app", matchApp, ParseApp)
 	if err != nil {
 		return err
 	}
 	*a = v
 	return nil
+}
+
+// matchApp is ParseApp for a plain ASCII name, read in place.
+func matchApp(name []byte) (App, bool) {
+	var buf [16]byte
+	key, ok := jsonenum.Fold(buf[:], name, "", false)
+	if !ok {
+		return 0, false
+	}
+	return appByKey(string(key))
 }
 
 // Canonical returns the configuration with every defaulted field made

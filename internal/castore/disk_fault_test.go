@@ -10,21 +10,22 @@ import (
 	"time"
 )
 
-// newFaultyTier opens a disk tier whose write seam fails with errFail
-// whenever *failing is true, recording every attempted path.
+// newFaultyTier opens a disk tier whose write seam fails whenever *failing
+// is true, counting every attempted write.
 func newFaultyTier(t *testing.T, failing *bool, attempts *int) *diskTier {
 	t.Helper()
 	d, err := openDiskTier(t.TempDir(), 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := d.writeFile
-	d.writeFile = func(path string, data []byte) error {
+	t.Cleanup(d.close)
+	real := d.writeAt
+	d.writeAt = func(p []byte, off int64) (int, error) {
 		*attempts++
 		if *failing {
-			return errors.New("injected: no space left on device")
+			return 0, errors.New("injected: no space left on device")
 		}
-		return real(path, data)
+		return real(p, off)
 	}
 	return d
 }
@@ -113,7 +114,7 @@ func TestStoreStatsReportDiskDisabled(t *testing.T) {
 	}
 	defer s.Close()
 	fail := errors.New("injected write failure")
-	s.disk.writeFile = func(string, []byte) error { return fail }
+	s.disk.writeAt = func([]byte, int64) (int, error) { return 0, fail }
 
 	for i := 0; i < diskWriteFailureLimit+3; i++ {
 		s.put(testHash(fmt.Sprintf("stats-%d", i)), []byte("z"))

@@ -5,8 +5,9 @@
 // interchangeably:
 //
 //	tier 0  in-memory LRU        — hot set, zero-copy replay
-//	tier 1  checksummed disk     — survives restarts; atomic write-rename,
-//	                               corruption detected and treated as a miss
+//	tier 1  append-only disk log — survives restarts; a hit is one pread,
+//	                               a persisted miss one append; checksummed,
+//	                               so corruption and a torn tail are misses
 //	tier 2  peer fetch (hook)    — a fleet worker asks the cell's ring
 //	                               successors before simulating
 //
@@ -36,8 +37,9 @@ type Options struct {
 	MemEntries int
 	// Dir enables the disk tier at this directory; empty disables it.
 	Dir string
-	// DiskMaxBytes caps the disk tier's total size, LRU-evicted
-	// (default 256 MiB; ignored without Dir).
+	// DiskMaxBytes caps the disk tier's live entry bytes, LRU-evicted
+	// (default 256 MiB; ignored without Dir). The log stays under twice
+	// that plus 4 MiB.
 	DiskMaxBytes int64
 	// Peers, when non-nil, is probed on a local miss before computing.
 	Peers PeerFetch
@@ -120,9 +122,9 @@ type Store struct {
 	flights  map[string]*flight
 
 	// Disk persistence is asynchronous: the simulation path enqueues and
-	// moves on, a single writer goroutine does the fsync+rename dance, and
-	// Close drains the queue — that is the "drain flushes pending disk
-	// writes" guarantee. A full queue drops the write (counted): losing
+	// moves on, a single writer goroutine appends to the log (and compacts
+	// it), and Close drains the queue — that is the "drain flushes pending
+	// disk writes" guarantee. A full queue drops the write (counted): losing
 	// warmth is acceptable, stalling the engine worker pool is not.
 	qmu        sync.Mutex
 	writeQ     chan diskWrite
@@ -139,8 +141,8 @@ type Store struct {
 	writeDrops atomic.Int64
 }
 
-// Open builds a Store, scanning Options.Dir to warm the disk index when
-// the disk tier is enabled.
+// Open builds a Store, replaying the log under Options.Dir to warm the
+// disk index when the disk tier is enabled.
 func Open(opt Options) (*Store, error) {
 	o := opt.withDefaults()
 	s := &Store{
@@ -161,19 +163,33 @@ func Open(opt Options) (*Store, error) {
 	return s, nil
 }
 
-// writer persists queued results until Close drains and closes the queue.
+// writer persists queued results, and compacts the log when the disk tier
+// asks, until Close drains and closes the queue.
 func (s *Store) writer() {
 	defer close(s.writerDone)
-	for w := range s.writeQ {
-		if s.disk != nil {
-			s.disk.put(w.hash, w.body)
+	var kick <-chan struct{}
+	if s.disk != nil {
+		kick = s.disk.kick
+	}
+	for {
+		select {
+		case w, ok := <-s.writeQ:
+			if !ok {
+				return
+			}
+			if s.disk != nil {
+				s.disk.put(w.hash, w.body)
+			}
+			s.pending.Add(-1)
+		case <-kick:
+			s.disk.compact()
 		}
-		s.pending.Add(-1)
 	}
 }
 
-// Close flushes every pending disk write and stops the writer. Idempotent;
-// Do/LookupLocal calls racing Close lose only persistence, never results.
+// Close flushes every pending disk write, stops the writer and closes the
+// disk log. Idempotent; Do/LookupLocal calls racing Close lose only
+// persistence and disk hits, never results.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
 		s.qmu.Lock()
@@ -182,6 +198,9 @@ func (s *Store) Close() {
 		s.qmu.Unlock()
 	})
 	<-s.writerDone
+	if s.disk != nil {
+		s.disk.close()
+	}
 }
 
 // put inserts the frozen bytes into the memory tier and queues the disk

@@ -223,58 +223,72 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDiskCorruptionIsAMiss flips bytes in a persisted entry; the read
-// must detect the bad checksum, count it, delete the file, and report a
-// miss — never surface altered bytes.
+// TestDiskCorruptionIsAMiss flips a body byte of one persisted entry: the
+// read must detect the bad checksum, count it and report a miss — never
+// surface altered bytes — while neighbouring entries still hit. The drop
+// record it appends keeps a restart from counting it again, and a
+// recompute heals it.
 func TestDiskCorruptionIsAMiss(t *testing.T) {
 	dir := t.TempDir()
-	hash := testHash("corrupt")
+	hashes := []string{testHash("corrupt-0"), testHash("corrupt-1"), testHash("corrupt-2")}
+	body := func(i int) []byte { return []byte(fmt.Sprintf("pristine result bytes %d", i)) }
 	s1, err := Open(Options{MemEntries: 4, Dir: dir})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	s1.Do(context.Background(), hash, func(ctx context.Context) ([]byte, error) {
-		return []byte("pristine result bytes"), nil
-	})
+	for i, h := range hashes {
+		s1.Do(context.Background(), h, func(ctx context.Context) ([]byte, error) { return body(i), nil })
+	}
 	s1.Close()
 
-	path := filepath.Join(dir, hash)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read persisted entry: %v", err)
-	}
-	raw[len(raw)-1] ^= 0xFF // corrupt the payload tail
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatalf("rewrite corrupted entry: %v", err)
-	}
+	rec := findRecord(t, dir, kindPut, hashes[1])
+	flipLogByte(t, dir, rec.off+int64(rec.size)-1) // the payload tail
 
 	s2 := openTestStore(t, Options{MemEntries: 4, Dir: dir})
-	if _, _, ok := s2.LookupLocal(hash); ok {
+	if _, _, ok := s2.LookupLocal(hashes[1]); ok {
 		t.Fatal("corrupted entry served as a hit")
 	}
-	if st := s2.Stats(); st.DiskCorruptions != 1 {
-		t.Fatalf("stats = %+v; want DiskCorruptions=1", st)
+	if st := s2.Stats(); st.DiskCorruptions != 1 || st.DiskEntries != 2 {
+		t.Fatalf("stats = %+v; want DiskCorruptions=1 DiskEntries=2", st)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("corrupt file not deleted: stat err = %v", err)
+	for _, i := range []int{0, 2} {
+		if got, tier, ok := s2.LookupLocal(hashes[i]); !ok || tier != TierDisk || !bytes.Equal(got, body(i)) {
+			t.Fatalf("neighbour %d = (%q, %v, %t), want its disk bytes", i, got, tier, ok)
+		}
+	}
+	s2.Close()
+
+	// A restart replays the drop record: a plain miss, not counted again.
+	s3 := openTestStore(t, Options{MemEntries: 4, Dir: dir})
+	if _, _, ok := s3.LookupLocal(hashes[1]); ok {
+		t.Fatal("dropped entry served after restart")
+	}
+	if st := s3.Stats(); st.DiskCorruptions != 0 {
+		t.Fatalf("stats after restart = %+v; want DiskCorruptions=0", st)
 	}
 	// Deterministic recomputation restores the entry.
-	want := []byte("pristine result bytes")
-	body, outcome, err := s2.Do(context.Background(), hash, func(ctx context.Context) ([]byte, error) {
-		return want, nil
+	got, outcome, err := s3.Do(context.Background(), hashes[1], func(ctx context.Context) ([]byte, error) {
+		return body(1), nil
 	})
-	if err != nil || outcome != Computed || !bytes.Equal(body, want) {
-		t.Fatalf("recompute after corruption = (%q, %v, %v)", body, outcome, err)
+	if err != nil || outcome != Computed || !bytes.Equal(got, body(1)) {
+		t.Fatalf("recompute after corruption = (%q, %v, %v)", got, outcome, err)
+	}
+	s3.Close()
+	s4 := openTestStore(t, Options{MemEntries: 4, Dir: dir})
+	if got, tier, ok := s4.LookupLocal(hashes[1]); !ok || tier != TierDisk || !bytes.Equal(got, body(1)) {
+		t.Fatalf("healed entry = (%q, %v, %t), want its disk bytes", got, tier, ok)
 	}
 }
 
-// TestDiskEvictionHonorsByteCap fills the tier past its cap and checks LRU
-// files are removed from disk while recently used ones survive.
+// TestDiskEvictionHonorsByteCap fills the tier past its cap: the oldest
+// entries go, the recent ones stay, and a restart replays exactly that
+// set without evicting again.
 func TestDiskEvictionHonorsByteCap(t *testing.T) {
 	dir := t.TempDir()
 	body := bytes.Repeat([]byte("x"), 100)
-	framedSize := int64(diskHeaderSize + len(body))
-	s := openTestStore(t, Options{MemEntries: 1, Dir: dir, DiskMaxBytes: 3 * framedSize})
+	framedSize := int64(recordHeaderSize + len(body))
+	opt := Options{MemEntries: 1, Dir: dir, DiskMaxBytes: 3 * framedSize}
+	s := openTestStore(t, opt)
 
 	var hashes []string
 	for i := 0; i < 6; i++ {
@@ -293,24 +307,32 @@ func TestDiskEvictionHonorsByteCap(t *testing.T) {
 	if st.DiskEvictions != 3 {
 		t.Fatalf("stats = %+v; want 3 evictions", st)
 	}
+	s2 := openTestStore(t, opt)
+	if st := s2.Stats(); st.DiskEntries != 3 || st.DiskBytes != 3*framedSize || st.DiskEvictions != 0 {
+		t.Fatalf("after restart: %+v; want the same 3 entries and no eviction", st)
+	}
 	for i, h := range hashes {
-		_, err := os.Stat(filepath.Join(dir, h))
-		if i < 3 && !os.IsNotExist(err) {
-			t.Fatalf("old entry %d should be evicted from disk (err=%v)", i, err)
+		_, tier, ok := s2.LookupLocal(h)
+		if i < 3 && ok {
+			t.Fatalf("old entry %d should be evicted, got a %v hit", i, tier)
 		}
-		if i >= 3 && err != nil {
-			t.Fatalf("recent entry %d missing from disk: %v", i, err)
+		if i >= 3 && (!ok || tier != TierDisk) {
+			t.Fatalf("recent entry %d missing from disk (tier %v, ok %t)", i, tier, ok)
 		}
 	}
 }
 
 // TestDiskStartupCleansTempAndIgnoresForeignFiles: leftover .tmp- files
-// from a crashed writer are removed, and non-hash names never enter the
-// index.
+// from a crashed writer and the one-file-per-entry layout's 64-hex entry
+// files are removed, and other names are left alone and never indexed.
 func TestDiskStartupCleansTempAndIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
 	tmp := filepath.Join(dir, tmpPrefix+testHash("crashed")+"-123")
 	if err := os.WriteFile(tmp, []byte("partial"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	entry := filepath.Join(dir, testHash("per-file entry"))
+	if err := os.WriteFile(entry, []byte("HDLSCAS1 old layout"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	foreign := filepath.Join(dir, "README.txt")
@@ -319,8 +341,10 @@ func TestDiskStartupCleansTempAndIgnoresForeignFiles(t *testing.T) {
 	}
 
 	s := openTestStore(t, Options{Dir: dir})
-	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
-		t.Fatalf("stale temp file survived startup: %v", err)
+	for _, gone := range []string{tmp, entry} {
+		if _, err := os.Stat(gone); !os.IsNotExist(err) {
+			t.Fatalf("%s survived startup: %v", filepath.Base(gone), err)
+		}
 	}
 	if _, err := os.Stat(foreign); err != nil {
 		t.Fatalf("foreign file should be left alone: %v", err)
@@ -330,38 +354,40 @@ func TestDiskStartupCleansTempAndIgnoresForeignFiles(t *testing.T) {
 	}
 }
 
-// TestDiskRestartPreservesLRUOrder: mtimes rebuild the recency order, so
-// the entry touched most recently before shutdown is the last to evict
-// after restart.
+// TestDiskRestartPreservesLRUOrder: touch records replay the recency
+// order, so an entry hit before shutdown outlives an entry last used
+// before it, although it was written first.
 func TestDiskRestartPreservesLRUOrder(t *testing.T) {
 	dir := t.TempDir()
-	old := testHash("old")
-	hot := testHash("hot")
-	// Write with explicit mtimes rather than sleeping through a real store.
-	for i, h := range []string{old, hot} {
-		framed := encodeEntry([]byte("payload-" + h[:8]))
-		if err := os.WriteFile(filepath.Join(dir, h), framed, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		mt := time.Now().Add(time.Duration(i-2) * time.Hour)
-		if err := os.Chtimes(filepath.Join(dir, h), mt, mt); err != nil {
-			t.Fatal(err)
-		}
+	hot, cold := testHash("hot"), testHash("cold")
+	framedSize := int64(recordHeaderSize + len("payload-12345678"))
+	opt := Options{MemEntries: 1, Dir: dir, DiskMaxBytes: 2 * framedSize}
+	s1 := openTestStore(t, opt)
+	for _, h := range []string{hot, cold} {
+		s1.Do(context.Background(), h, func(ctx context.Context) ([]byte, error) {
+			return []byte("payload-" + h[:8]), nil
+		})
 	}
+	s1.Close()
 
-	framedSize := int64(diskHeaderSize + len("payload-12345678"))
-	s := openTestStore(t, Options{MemEntries: 1, Dir: dir, DiskMaxBytes: 2 * framedSize})
-	// Inserting one more entry pushes the tier over cap; "old" must go.
-	s.Do(context.Background(), testHash("new"), func(ctx context.Context) ([]byte, error) {
+	s2 := openTestStore(t, opt)
+	if _, tier, ok := s2.LookupLocal(hot); !ok || tier != TierDisk {
+		t.Fatalf("hot entry = (%v, %t), want a disk hit", tier, ok)
+	}
+	s2.Close()
+
+	// Inserting one more entry pushes the tier over cap; "cold" must go.
+	s3 := openTestStore(t, opt)
+	s3.Do(context.Background(), testHash("new"), func(ctx context.Context) ([]byte, error) {
 		return []byte("payload-newentry"), nil
 	})
-	s.Close()
-
-	if _, err := os.Stat(filepath.Join(dir, old)); !os.IsNotExist(err) {
-		t.Fatalf("oldest-mtime entry should be evicted first, stat err = %v", err)
+	s3.Close()
+	s4 := openTestStore(t, opt)
+	if _, _, ok := s4.LookupLocal(cold); ok {
+		t.Fatal("least recently used entry should be evicted first")
 	}
-	if _, err := os.Stat(filepath.Join(dir, hot)); err != nil {
-		t.Fatalf("recent entry evicted out of order: %v", err)
+	if got, tier, ok := s4.LookupLocal(hot); !ok || tier != TierDisk || !bytes.Equal(got, []byte("payload-"+hot[:8])) {
+		t.Fatalf("recently hit entry evicted out of order: (%q, %v, %t)", got, tier, ok)
 	}
 }
 

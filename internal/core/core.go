@@ -340,6 +340,11 @@ type harness struct {
 	intraBig    []dls.Schedule
 	sigma       float64
 
+	// gssDecay holds, per node, GSS-intra's factors math.Pow(1-1/p, step)
+	// for the node's worker count p, by step. It outlives cells: a table
+	// is refilled only when its node's worker count changes.
+	gssDecay []gssTable
+
 	// The executors' machines, built once per arena and reset in place
 	// by each cell's setup (DESIGN.md §8): MPI+MPI workers by world rank,
 	// MPI+OpenMP ranks (with their teams) and nowait nodes by node. Every
@@ -357,6 +362,23 @@ type harness struct {
 	lqNames   []string   // "local-queue-<node>", by node
 
 	finF, nodeF []float64 // summary's scratch
+}
+
+// gssTable is one node's GSS-intra factors for p workers.
+type gssTable struct {
+	p   int
+	pow []float64
+}
+
+// factor returns math.Pow(1-1/p, step), computed once per (p, step).
+func (g *gssTable) factor(p, step int) float64 {
+	if g.p != p {
+		g.p, g.pow = p, g.pow[:0]
+	}
+	for len(g.pow) <= step {
+		g.pow = append(g.pow, math.Pow(1-1/float64(p), float64(len(g.pow))))
+	}
+	return g.pow[step]
 }
 
 // intraCacheCap bounds the slice-indexed intra-schedule cache per node;
@@ -436,6 +458,9 @@ func newHarness(c *Config) *harness {
 	}
 	h.intraBigLen = resizeZeroed(h.intraBigLen, nodes)
 	h.intraBig = resizeZeroed(h.intraBig, nodes)
+	for len(h.gssDecay) < nodes {
+		h.gssDecay = append(h.gssDecay, gssTable{})
+	}
 	h.sigma = h.prof.CoV() * h.prof.Mean()
 	h.tr = nil
 	if c.CollectTrace {
@@ -560,7 +585,7 @@ func (h *harness) intraChunkSize(node, origLen, step, w int) int {
 			}
 			return 1
 		}
-		f := float64(origLen) / p * math.Pow(1-1/p, float64(step))
+		f := float64(origLen) / p * h.gssDecay[node].factor(nw, step)
 		s := int(math.Ceil(f))
 		if s < 1 {
 			s = 1

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 
 	"repro/dls"
 	"repro/hdls"
+	"repro/internal/castore"
 )
 
 // slowCells builds a batch big enough that its job stays active while a
@@ -243,19 +245,25 @@ func TestJournalRecoveryByteIdentity(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(journalDir, "job-42"+journalSuffix), append(rec, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(cacheDir)
+	// A crash before the writer flushed leaves the disk log cut after the
+	// records it did write. The log (internal/castore/disk.go) is a
+	// 32-byte file header, then records of a 52-byte header, whose bytes
+	// 16:20 hold the body length (u32le), and the body.
+	logPath := filepath.Join(cacheDir, castore.LogName)
+	raw, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	removed := 0
-	for _, e := range entries {
-		if len(e.Name()) == 64 && removed < 2 {
-			os.Remove(filepath.Join(cacheDir, e.Name()))
-			removed++
-		}
+	var ends []int
+	for end := 32; end+52 <= len(raw); {
+		end += 52 + int(binary.LittleEndian.Uint32(raw[end+16:]))
+		ends = append(ends, end)
 	}
-	if removed != 2 {
-		t.Fatalf("expected to evict 2 cached cells, got %d", removed)
+	if len(ends) != len(cells) || ends[len(ends)-1] != len(raw) {
+		t.Fatalf("disk log holds %d records, want one per cell (%d)", len(ends), len(cells))
+	}
+	if err := os.Truncate(logPath, int64(ends[3])); err != nil {
+		t.Fatal(err)
 	}
 
 	// Restart: recovery must replay job-42 through the normal path.

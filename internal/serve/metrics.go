@@ -93,7 +93,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"hdlsd_cache_disk_entries", "Disk-tier resident entries.", "gauge", float64(cs.DiskEntries)},
 		{"hdlsd_cache_disk_bytes", "Disk-tier resident bytes.", "gauge", float64(cs.DiskBytes)},
 		{"hdlsd_cache_disk_evictions_total", "Disk-tier entries removed by the byte cap.", "counter", float64(cs.DiskEvictions)},
-		{"hdlsd_cache_disk_corruptions_total", "Disk-tier entries rejected by checksum/framing and deleted.", "counter", float64(cs.DiskCorruptions)},
+		{"hdlsd_cache_disk_corruptions_total", "Disk-tier entries rejected by checksum/framing and dropped.", "counter", float64(cs.DiskCorruptions)},
 		{"hdlsd_cache_disk_write_errors_total", "Disk-tier writes that failed.", "counter", float64(cs.DiskWriteErrors)},
 		{"hdlsd_cache_disk_write_drops_total", "Disk-tier writes dropped (full queue, or tier disabled).", "counter", float64(cs.DiskWriteDrops)},
 		{"hdlsd_cache_disk_disabled", "1 after consecutive write failures shut the disk tier's writes off.", "gauge", float64(diskDisabled)},

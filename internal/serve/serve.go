@@ -50,13 +50,14 @@ type Options struct {
 	// CacheEntries bounds the store's in-memory LRU tier (default 4096
 	// entries).
 	CacheEntries int
-	// CacheDir enables the store's checksummed on-disk tier at this
-	// directory, so restarts are warm (default off). Entries are written
-	// atomically (temp + fsync + rename) and verified on read; corruption
-	// is counted and treated as a miss.
+	// CacheDir enables the store's on-disk tier at this directory, so
+	// restarts are warm (default off). Entries are appended to one
+	// checksummed log and verified on read; corruption is counted and
+	// treated as a miss.
 	CacheDir string
-	// CacheDiskMax caps the disk tier's total bytes, LRU-evicted
-	// (default 256 MiB; ignored without CacheDir).
+	// CacheDiskMax caps the disk tier's live entry bytes, LRU-evicted
+	// (default 256 MiB; ignored without CacheDir). The log stays under
+	// twice that plus 4 MiB.
 	CacheDiskMax int64
 	// PeerFetch, when non-nil, is probed on a local store miss before the
 	// engine runs — fleet workers use it to pull a cell a ring peer

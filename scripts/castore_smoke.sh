@@ -3,9 +3,11 @@
 # computes a cell and a 16-cell sweep, is SIGTERMed (drain flushes pending
 # disk writes), and is restarted on the same directory — the warm replay
 # must be byte-identical and served as X-Cache: hit-disk without touching
-# the engine. A second section starts a two-worker fleet where worker 2
-# peer-fills from worker 1 (X-Cache: hit-peer, byte-identical, peer-hits
-# metric visible). CI runs it in the castore shard; locally:
+# the engine. A copy of the log cut inside its last record then restarts
+# as a crash mid-append leaves it: that cell recomputes, every other one
+# replays from disk. A last section starts a two-worker fleet where
+# worker 2 peer-fills from worker 1 (X-Cache: hit-peer, byte-identical,
+# peer-hits metric visible). CI runs it in the castore shard; locally:
 # scripts/castore_smoke.sh
 set -euo pipefail
 
@@ -65,8 +67,36 @@ curl -fsSN -d @"$DIR/sweep.json" "$BASE/v1/sweep?stream=1" -o "$DIR/sweep-cold.n
 echo "== SIGTERM: the drain flushes the disk tier"
 kill -TERM "$COLD_PID"
 wait_exit "$COLD_PID" "$DIR/cold.log"
-[ "$(ls "$DIR/cas" | wc -l)" -ge 17 ] || {
-  echo "disk tier has $(ls "$DIR/cas" | wc -l) entries, want >= 17"; ls -la "$DIR/cas"; exit 1; }
+
+# log_records LOG [cut]: prints the log's put-record count; with cut, also
+# truncates the log inside its last record and prints that record's hash.
+# The format is internal/castore/disk.go's: a 32-byte file header, then
+# records of a 52-byte header (magic, CRC, kind, u32le length at bytes
+# 16:20, hash at 20:52) and a body.
+log_records() {
+  python3 - "$@" <<'PYEOF'
+import struct, sys
+path = sys.argv[1]
+raw = open(path, "rb").read()
+off, puts, last = 32, 0, None
+while off + 52 <= len(raw) and raw[off:off + 8] == b"HDLSCREC":
+    kind, n = struct.unpack_from("<II", raw, off + 12)
+    if off + 52 + n > len(raw):
+        break
+    if kind == 1:
+        puts, last = puts + 1, (off, n, raw[off + 20:off + 52].hex())
+    off += 52 + n
+print(puts)
+if len(sys.argv) > 2:
+    cut_off, n, h = last
+    open(path, "r+b").truncate(cut_off + 52 + n // 2)
+    print(h)
+PYEOF
+}
+PUTS=$(log_records "$DIR/cas/results.log")
+[ "$PUTS" -ge 17 ] || {
+  echo "disk log has $PUTS put records, want >= 17"; ls -la "$DIR/cas"; exit 1; }
+cp -r "$DIR/cas" "$DIR/cas-torn"
 
 echo "== restart on the same directory: warm replay from disk"
 "$DIR/hdlsd" -addr "127.0.0.1:${PORT}" -workers 4 -cache-dir "$DIR/cas" \
@@ -91,6 +121,32 @@ grep -q '^hdlsd_cache_disk_entries 1[7-9]' "$DIR/metrics-warm"
 
 kill -TERM "$WARM_PID"
 wait_exit "$WARM_PID" "$DIR/warm.log"
+
+echo "== torn tail: the log cut inside its last record"
+TORN_HASH=$(log_records "$DIR/cas-torn/results.log" cut | tail -n 1)
+"$DIR/hdlsd" -addr "127.0.0.1:${PORT}" -workers 4 -cache-dir "$DIR/cas-torn" \
+  >"$DIR/torn.log" 2>&1 &
+TORN_PID=$!
+PIDS+=("$TORN_PID")
+wait_healthy "$BASE"
+curl -fsS -D "$DIR/h-torn" -d "$CELL" "$BASE/v1/run" -o "$DIR/run-torn.json"
+cmp "$DIR/run-cold.json" "$DIR/run-torn.json" || { echo "torn-log run not byte-identical"; exit 1; }
+RUN_HASH=$(grep -i '^x-config-hash:' "$DIR/h-torn" | tr -d '\r' | awk '{print $2}')
+WANT_RUN=hit-disk
+[ "$RUN_HASH" = "$TORN_HASH" ] && WANT_RUN=miss
+grep -qi "^x-cache: $WANT_RUN" "$DIR/h-torn" || {
+  echo "torn-log run should read $WANT_RUN"; cat "$DIR/h-torn"; exit 1; }
+curl -fsSN -d @"$DIR/sweep.json" "$BASE/v1/sweep?stream=1" -o "$DIR/sweep-torn.ndjson"
+cmp "$DIR/sweep-cold.ndjson" "$DIR/sweep-torn.ndjson" || {
+  echo "torn-log sweep not byte-identical"; exit 1; }
+curl -fsS "$BASE/metrics" >"$DIR/metrics-torn"
+grep -q '^hdlsd_cache_disk_hits_total 16$' "$DIR/metrics-torn" &&
+  grep -q '^hdlsd_cache_misses_total 1$' "$DIR/metrics-torn" &&
+  grep -q '^hdlsd_cache_disk_corruptions_total 0$' "$DIR/metrics-torn" || {
+  echo "torn-log restart should recompute exactly the torn cell (16 disk hits, 1 miss)"
+  grep cache "$DIR/metrics-torn"; exit 1; }
+kill -TERM "$TORN_PID"
+wait_exit "$TORN_PID" "$DIR/torn.log"
 
 echo "== two-worker fleet: worker 2 peer-fills from worker 1"
 "$DIR/hdlsd" -addr "127.0.0.1:${W1PORT}" -workers 2 -cache-dir "$DIR/cas-w1" \
